@@ -33,6 +33,7 @@ import (
 	"webcluster/internal/journal"
 	"webcluster/internal/l4router"
 	"webcluster/internal/loadbal"
+	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
 	"webcluster/internal/sim"
 	"webcluster/internal/telemetry"
@@ -429,6 +430,44 @@ func BenchmarkAdmissionDecision(b *testing.B) {
 			b.Fatalf("admission verdict %v on an idle controller", v)
 		}
 		c.Release(class)
+	}
+}
+
+// BenchmarkControllerInsert measures one §3 placement change through the
+// management plane: Controller.Insert ships the object body to a broker
+// over the framed wire (payload raw after a JSON header line), the
+// broker stores it, and the URL table records the location. The broker
+// keeps a SyntheticStore, which records only each object's length, so
+// memory stays flat however many objects b.N inserts.
+func BenchmarkControllerInsert(b *testing.B) {
+	for _, size := range []int{4 << 10, 16 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			broker := mgmt.NewBroker(mgmt.Env{Node: "n1", Store: &backend.SyntheticStore{}})
+			addr, err := broker.Start("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = broker.Close() }()
+			ctl := mgmt.NewController(urltable.New(urltable.Options{}))
+			if err := ctl.AddNode("n1", addr); err != nil {
+				b.Fatal(err)
+			}
+			defer ctl.RemoveNode("n1")
+			data := backend.SynthesizeBody("/bench/body.html", int64(size))
+			insert := func(i int) {
+				obj := content.Object{Path: fmt.Sprintf("/bench/%d.html", i), Size: int64(size), Class: content.ClassHTML}
+				if err := ctl.Insert(obj, data, "n1"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			insert(-1) // installs the store-file agent before timing
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				insert(i)
+			}
+		})
 	}
 }
 

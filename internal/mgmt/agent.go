@@ -17,7 +17,6 @@ package mgmt
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -109,16 +108,18 @@ func BuiltinSpecs() []Spec {
 // Args carries an agent invocation's parameters.
 type Args struct {
 	Path string `json:"path,omitempty"`
-	// Data is the object payload for store-file (base64 on the wire).
-	Data []byte `json:"data,omitempty"`
+	// Data is the object payload for store-file and replace-file; it
+	// travels as the raw frame payload, not in the JSON header.
+	Data []byte `json:"-"`
 	// Size requests synthetic placement of Size bytes when Data is nil.
 	Size int64 `json:"size,omitempty"`
 }
 
-// Result carries an agent's outcome.
+// Result carries an agent's outcome. Data, fetch-file's object bytes,
+// travels as the raw frame payload.
 type Result struct {
 	Message   string              `json:"message,omitempty"`
-	Data      []byte              `json:"data,omitempty"`
+	Data      []byte              `json:"-"`
 	Paths     []string            `json:"paths,omitempty"`
 	Status    *monitor.NodeStatus `json:"status,omitempty"`
 	Telemetry *telemetry.Report   `json:"telemetry,omitempty"`
@@ -313,10 +314,10 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 	}
 }
 
-// Wire protocol: newline-delimited JSON over TCP.
+// Broker messages; wire.go frames them.
 
 // request is one broker-bound message: either an agent invocation or an
-// agent installation.
+// agent installation. Args.Data travels as the frame payload.
 type request struct {
 	ID      int64  `json:"id"`
 	Agent   string `json:"agent,omitempty"`
@@ -324,7 +325,8 @@ type request struct {
 	Install *Spec  `json:"install,omitempty"`
 }
 
-// response is the broker's reply.
+// response is the broker's reply. Result.Data travels as the frame
+// payload.
 type response struct {
 	ID     int64   `json:"id"`
 	OK     bool    `json:"ok"`
@@ -332,12 +334,4 @@ type response struct {
 	Result *Result `json:"result,omitempty"`
 	// NeedCode signals the broker lacks the agent and wants its spec.
 	NeedCode bool `json:"needCode,omitempty"`
-}
-
-// encode writes v as one JSON line.
-func encode(enc *json.Encoder, v any) error {
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("mgmt: encoding message: %w", err)
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 package mgmt
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -101,22 +101,27 @@ func (b *Broker) Start(addr string) (string, error) {
 
 // serveConn handles one controller connection's request stream.
 func (b *Broker) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		data, err := readFrame(br, &req)
+		if err != nil {
 			return
 		}
-		resp := b.handle(req)
-		if err := encode(enc, resp); err != nil {
+		resp := b.handle(req, data)
+		var out []byte
+		if resp.Result != nil {
+			out = resp.Result.Data
+		}
+		if err := writeFrame(bw, resp, out); err != nil {
 			return
 		}
 	}
 }
 
-// handle executes one request.
-func (b *Broker) handle(req request) response {
+// handle executes one request whose frame carried payload data.
+func (b *Broker) handle(req request, data []byte) response {
 	if req.Install != nil {
 		b.mu.Lock()
 		if _, exists := b.agents[req.Install.Name]; !exists {
@@ -141,6 +146,7 @@ func (b *Broker) handle(req request) response {
 	if req.Args != nil {
 		args = *req.Args
 	}
+	args.Data = data
 	result, err := ExecuteOp(spec.Op, b.env, args)
 	if err != nil {
 		return response{ID: req.ID, OK: false, Error: err.Error()}
@@ -173,58 +179,49 @@ func (b *Broker) Close() error {
 const DefaultBrokerTimeout = 10 * time.Second
 
 // BrokerClient is the controller's connection to one broker. Construct
-// with DialBroker. Calls are serialized per client.
+// with DialBroker. Calls are serialized per client; after a failed call
+// the client redials on the next one.
 type BrokerClient struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
-	nextID  int64
-	timeout time.Duration
+	mu     sync.Mutex
+	wire   wireConn
+	nextID int64
 }
 
 // DialBroker connects to a broker at addr.
 func DialBroker(addr string) (*BrokerClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, DefaultBrokerTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("mgmt: dialing broker %s: %w", addr, err)
+	c := &BrokerClient{wire: wireConn{addr: addr, timeout: DefaultBrokerTimeout}}
+	if err := c.wire.dial(); err != nil {
+		return nil, err
 	}
-	return &BrokerClient{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(conn),
-		timeout: DefaultBrokerTimeout,
-	}, nil
+	return c, nil
 }
 
 // SetTimeout overrides the per-call deadline (0 disables).
 func (c *BrokerClient) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.timeout = d
+	c.wire.timeout = d
 }
 
-// call performs one request/response exchange.
-func (c *BrokerClient) call(req request) (response, error) {
+// call performs one request/response exchange, shipping data as the
+// request payload.
+func (c *BrokerClient) call(req request, data []byte) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
 	req.ID = c.nextID
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return response{}, fmt.Errorf("mgmt: arming deadline: %w", err)
-		}
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	}
-	if err := encode(c.enc, req); err != nil {
+	var resp response
+	out, err := c.wire.exchange(req, data, &resp)
+	if err != nil {
 		return response{}, err
 	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("mgmt: reading broker response: %w", err)
-	}
 	if resp.ID != req.ID {
+		// The stream is out of step; a fresh connection realigns it.
+		_ = c.wire.reset()
 		return response{}, fmt.Errorf("mgmt: response id %d for request %d", resp.ID, req.ID)
+	}
+	if resp.Result != nil {
+		resp.Result.Data = out
 	}
 	return resp, nil
 }
@@ -232,7 +229,7 @@ func (c *BrokerClient) call(req request) (response, error) {
 // Invoke runs agent with args on the broker. The needCode flag is
 // reported so the caller (controller) can install and retry.
 func (c *BrokerClient) Invoke(agent string, args Args) (Result, bool, error) {
-	resp, err := c.call(request{Agent: agent, Args: &args})
+	resp, err := c.call(request{Agent: agent, Args: &args}, args.Data)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -250,7 +247,7 @@ func (c *BrokerClient) Invoke(agent string, args Args) (Result, bool, error) {
 
 // Install ships an agent spec to the broker.
 func (c *BrokerClient) Install(spec Spec) error {
-	resp, err := c.call(request{Install: &spec})
+	resp, err := c.call(request{Install: &spec}, nil)
 	if err != nil {
 		return err
 	}
@@ -260,9 +257,9 @@ func (c *BrokerClient) Install(spec Spec) error {
 	return nil
 }
 
-// Close closes the underlying connection.
+// Close closes the underlying connection; later calls fail.
 func (c *BrokerClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn.Close()
+	return c.wire.close()
 }

@@ -1,7 +1,7 @@
 package mgmt
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"net"
 	"sort"
@@ -18,12 +18,13 @@ import (
 )
 
 // The remote console (§3.1/§3.2). The paper ships a Java-applet GUI; this
-// reproduction exposes the same operations over a JSON line protocol so
-// cmd/console (and tests) can drive the controller remotely, preserving
-// the property that administration happens against a single system image
-// from anywhere on the network.
+// reproduction exposes the same operations over the framed wire of
+// wire.go so cmd/console (and tests) can drive the controller remotely,
+// preserving the property that administration happens against a single
+// system image from anywhere on the network.
 
-// ConsoleRequest is one console command.
+// ConsoleRequest is one console command. Data, the insert/update body,
+// travels as the raw frame payload.
 type ConsoleRequest struct {
 	Op       string          `json:"op"`
 	Path     string          `json:"path,omitempty"`
@@ -34,7 +35,7 @@ type ConsoleRequest struct {
 	Source   config.NodeID   `json:"source,omitempty"`
 	Target   config.NodeID   `json:"target,omitempty"`
 	Nodes    []config.NodeID `json:"nodes,omitempty"`
-	Data     []byte          `json:"data,omitempty"`
+	Data     []byte          `json:"-"`
 	// loadsite parameters.
 	Objects  int    `json:"objects,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
@@ -148,15 +149,16 @@ func (s *ConsoleServer) Start(addr string) (string, error) {
 
 // serveConn handles one console session.
 func (s *ConsoleServer) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	for {
 		var req ConsoleRequest
-		if err := dec.Decode(&req); err != nil {
+		data, err := readFrame(br, &req)
+		if err != nil {
 			return
 		}
-		resp := s.handle(req)
-		if err := encode(enc, resp); err != nil {
+		req.Data = data
+		if err := writeFrame(bw, s.handle(req), nil); err != nil {
 			return
 		}
 	}
@@ -374,26 +376,19 @@ func (s *ConsoleServer) Close() error {
 const DefaultConsoleTimeout = 5 * time.Second
 
 // Console is the remote-console client. Construct with DialConsole.
+// After a failed command it redials on the next one.
 type Console struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
-	timeout time.Duration
+	mu   sync.Mutex
+	wire wireConn
 }
 
 // DialConsole connects to a console server at addr.
 func DialConsole(addr string) (*Console, error) {
-	conn, err := net.DialTimeout("tcp", addr, DefaultConsoleTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("console: dialing %s: %w", addr, err)
+	c := &Console{wire: wireConn{addr: addr, timeout: DefaultConsoleTimeout}}
+	if err := c.wire.dial(); err != nil {
+		return nil, fmt.Errorf("console: %w", err)
 	}
-	return &Console{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(conn),
-		timeout: DefaultConsoleTimeout,
-	}, nil
+	return c, nil
 }
 
 // SetTimeout changes the per-command deadline (ignored if d <= 0).
@@ -401,26 +396,19 @@ func (c *Console) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d > 0 {
-		c.timeout = d
+		c.wire.timeout = d
 	}
 }
 
-// Do performs one console command.
+// Do performs one console command. The deadline covers the whole
+// exchange, so a wedged or partitioned console server surfaces as a
+// timeout, not a hung administrative client.
 func (c *Console) Do(req ConsoleRequest) (ConsoleResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A wedged or partitioned console server must surface as a timeout,
-	// not a hung administrative client.
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return ConsoleResponse{}, fmt.Errorf("console: arming deadline: %w", err)
-	}
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	if err := encode(c.enc, req); err != nil {
-		return ConsoleResponse{}, err
-	}
 	var resp ConsoleResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return ConsoleResponse{}, fmt.Errorf("console: reading response: %w", err)
+	if _, err := c.wire.exchange(req, req.Data, &resp); err != nil {
+		return ConsoleResponse{}, fmt.Errorf("console: %w", err)
 	}
 	if !resp.OK {
 		return resp, fmt.Errorf("console: %s", resp.Error)
@@ -428,9 +416,9 @@ func (c *Console) Do(req ConsoleRequest) (ConsoleResponse, error) {
 	return resp, nil
 }
 
-// Close closes the console connection.
+// Close closes the console connection; later commands fail.
 func (c *Console) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn.Close()
+	return c.wire.close()
 }
