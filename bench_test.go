@@ -519,74 +519,53 @@ func BenchmarkDistributorRelayLarge(b *testing.B) {
 }
 
 // BenchmarkDistributorRelayParallel drives at least GOMAXPROCS (and at
-// least 4) concurrent keep-alive clients through the front end at once —
-// the shape where per-core sharding pays. Bodies are small (4 KiB) so
-// per-request overhead (accept locality, mapping-table stripes, pool
-// checkout, buffer pools) dominates over raw byte-moving; MB/s is the
-// aggregate across all clients. The sharded/unsharded pair quantifies
-// the win: sharded runs one shard per core (REUSEPORT accept, private
-// pools and idle stripes, at least 4 so the sharded layout is exercised
-// even on small machines), unsharded is the single-shard layout. The
-// speedup scales with cores — on a single-core host the two layouts
-// bound each other (the benchmark then only proves sharding costs
-// nothing), so judge the ratio together with GOMAXPROCS.
+// least 4) concurrent keep-alive clients through the front end at once.
+// Bodies are small (4 KiB) so per-request overhead (accept, mapping
+// table, pool checkout, buffer pools) dominates over raw byte-moving;
+// MB/s is the aggregate across all clients.
 func BenchmarkDistributorRelayParallel(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	shards := procs
-	if shards < 4 {
-		shards = 4
+	clients := max(procs, 4)
+	front, cleanup := liveCluster(b, func(o *distributor.Options) {
+		o.MaxConnsPerNode = 4 * clients
+	})
+	defer cleanup()
+	if procs < 4 {
+		// ≥4 concurrent clients even on small machines.
+		b.SetParallelism((4 + procs - 1) / procs)
 	}
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"sharded", shards},
-		{"unsharded", 1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			front, cleanup := liveCluster(b, func(o *distributor.Options) {
-				o.Shards = bc.shards
-				o.MaxConnsPerNode = 4 * shards
-			})
-			defer cleanup()
-			if procs < 4 {
-				// ≥4 concurrent clients even on small machines.
-				b.SetParallelism((4 + procs - 1) / procs)
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		conn, err := net.Dial("tcp", front)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		br := httpx.AcquireReader(conn)
+		defer httpx.ReleaseReader(br)
+		req := &httpx.Request{
+			Method: "GET", Target: "/bench.html", Path: "/bench.html",
+			Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
+		}
+		for pb.Next() {
+			if err := httpx.WriteRequest(conn, req); err != nil {
+				b.Error(err)
+				return
 			}
-			b.SetBytes(4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				conn, err := net.Dial("tcp", front)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer func() { _ = conn.Close() }()
-				br := httpx.AcquireReader(conn)
-				defer httpx.ReleaseReader(br)
-				req := &httpx.Request{
-					Method: "GET", Target: "/bench.html", Path: "/bench.html",
-					Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
-				}
-				for pb.Next() {
-					if err := httpx.WriteRequest(conn, req); err != nil {
-						b.Error(err)
-						return
-					}
-					resp, err := httpx.ReadResponseHeader(br)
-					if err != nil || resp.StatusCode != 200 {
-						b.Errorf("resp %v %v", resp, err)
-						return
-					}
-					if _, err := httpx.CopyBody(io.Discard, br, resp.ContentLength); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+			resp, err := httpx.ReadResponseHeader(br)
+			if err != nil || resp.StatusCode != 200 {
+				b.Errorf("resp %v %v", resp, err)
+				return
+			}
+			if _, err := httpx.CopyBody(io.Discard, br, resp.ContentLength); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkDistributorCacheHit measures one keep-alive request answered

@@ -389,6 +389,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	conn = s.faults.Conn("backend.conn/"+string(s.spec.ID), conn)
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		// Close has already swept s.conns: a connection accepted just
+		// before it must not register afterwards and pin Close's wait.
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	default:
+	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	defer func() {

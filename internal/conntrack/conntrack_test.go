@@ -214,6 +214,85 @@ func TestMappingSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestMappingConcurrentLifecycles runs full client lifecycles from many
+// goroutines on distinct keys, with every sixteenth goroutine also taking
+// snapshots mid-lifecycle, so the race detector sees every mapping
+// operation contend on the one table lock.
+func TestMappingConcurrentLifecycles(t *testing.T) {
+	const (
+		clients    = 64
+		lifecycles = 20
+		requests   = 3
+	)
+	mt := NewMappingTable()
+	step := func(key ClientKey, ev Event, want State) bool {
+		got, err := mt.Advance(key, ev)
+		if err != nil || got != want {
+			t.Errorf("%s: %v → %v, %v (want %v)", key, ev, got, err, want)
+			return false
+		}
+		return true
+	}
+	// snapshotSees reports whether a snapshot taken now holds key in
+	// state want; only key's own goroutine moves it, so it must.
+	snapshotSees := func(key ClientKey, want State) bool {
+		for _, e := range mt.Snapshot() {
+			if e.Key == key {
+				return e.State == want
+			}
+		}
+		return false
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			key := ClientKey{IP: "10.0.0.1", Port: 1024 + c}
+			node := config.NodeID(fmt.Sprintf("n%d", c%3))
+			snapshotter := c%16 == 0
+			for l := 0; l < lifecycles; l++ {
+				if _, err := mt.Install(key, uint32(l), 0); err != nil {
+					t.Errorf("%s: install: %v", key, err)
+					return
+				}
+				if !step(key, EventHandshakeDone, StateEstablished) {
+					return
+				}
+				for r := 0; r < requests; r++ {
+					if err := mt.Bind(key, node); err != nil {
+						t.Errorf("%s: bind: %v", key, err)
+						return
+					}
+					if !step(key, EventRequestBound, StateBound) {
+						return
+					}
+					if snapshotter && !snapshotSees(key, StateBound) {
+						t.Errorf("%s: snapshot misses the bound entry", key)
+						return
+					}
+					if !step(key, EventRequestDone, StateEstablished) {
+						return
+					}
+				}
+				if e, ok := mt.Get(key); !ok || e.Requests != requests || e.Backend != node {
+					t.Errorf("%s: entry %+v, %v after %d requests", key, e, ok, requests)
+					return
+				}
+				if !step(key, EventClientFin, StateFinReceived) || !step(key, EventFinAcked, StateHalfClosed) || !step(key, EventLastAck, StateClosed) {
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	installed, deleted, live := mt.Counts()
+	const n = clients * lifecycles
+	if installed != n || deleted != n || live != 0 {
+		t.Fatalf("counts = installed %d, deleted %d, live %d; want %d, %d, 0", installed, deleted, live, n, n)
+	}
+}
+
 func TestClientKeyString(t *testing.T) {
 	k := ClientKey{IP: "1.2.3.4", Port: 80}
 	if k.String() != "1.2.3.4:80" {

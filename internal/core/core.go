@@ -138,9 +138,6 @@ type Options struct {
 	// PreforkPerNode is the distributor's persistent-connection count
 	// per node.
 	PreforkPerNode int
-	// DistributorShards is the distributor's per-core accept/relay shard
-	// count (SO_REUSEPORT listeners where available); 0 means unsharded.
-	DistributorShards int
 	// TableCacheEntries sizes the URL table's entry cache.
 	TableCacheEntries int
 	// BalanceInterval enables the auto-balancer loop when positive.
@@ -163,7 +160,7 @@ type Options struct {
 	// controller so every management mutation purges affected entries.
 	CacheBytes int64
 	// CacheOptions tunes the response cache beyond the byte budget
-	// (TTLs, shard count, clock). MaxBytes inside it is overridden by
+	// (TTLs, partition count, clock). MaxBytes inside it is overridden by
 	// CacheBytes. Ignored when CacheBytes <= 0.
 	CacheOptions respcache.Options
 	// TelemetryOptions tunes the distributor's telemetry layer (ring
@@ -339,7 +336,6 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 		Cluster:        spec,
 		Picker:         opts.Picker,
 		PreforkPerNode: opts.PreforkPerNode,
-		Shards:         opts.DistributorShards,
 		Faults:         opts.Faults,
 		Cache:          c.Cache,
 		Telemetry:      c.Telemetry,

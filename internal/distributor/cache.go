@@ -62,7 +62,7 @@ func cacheEligible(req *httpx.Request) bool {
 // whether a response (or terminal failure) was written to the client;
 // when false the caller falls through to the normal relay path. connOK
 // mirrors relayRequest's contract.
-func (d *Distributor) serveFromCache(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, sp *telemetry.Span) (handled, connOK bool) {
+func (d *Distributor) serveFromCache(client net.Conn, key conntrack.ClientKey, req *httpx.Request, sp *telemetry.Span) (handled, connOK bool) {
 	start := time.Now()
 	e, state := d.cache.Get(req.Path)
 	sp.MarkCache()
@@ -75,12 +75,12 @@ func (d *Distributor) serveFromCache(s *shard, client net.Conn, key conntrack.Cl
 			// and avoids leading a GET fetch for it
 			return false, true
 		}
-		return d.serveStaleEntry(s, client, key, req, e, start, sp)
+		return d.serveStaleEntry(client, key, req, e, start, sp)
 	default:
 		if req.Method == "HEAD" {
 			return false, true
 		}
-		return d.serveMiss(s, client, key, req, start, sp)
+		return d.serveMiss(client, key, req, start, sp)
 	}
 }
 
@@ -155,7 +155,7 @@ func (d *Distributor) serveStaleIfAllowed(client net.Conn, key conntrack.ClientK
 // serveMiss handles a cache miss: join or lead the singleflight fetch for
 // the path. The leader performs one backend exchange and every concurrent
 // requester shares its result.
-func (d *Distributor) serveMiss(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, start time.Time, sp *telemetry.Span) (handled, connOK bool) {
+func (d *Distributor) serveMiss(client net.Conn, key conntrack.ClientKey, req *httpx.Request, start time.Time, sp *telemetry.Span) (handled, connOK bool) {
 	f, leader := d.cache.BeginFlight(req.Path)
 	if !leader {
 		e, err := f.Wait()
@@ -186,13 +186,13 @@ func (d *Distributor) serveMiss(s *shard, client net.Conn, key conntrack.ClientK
 	}
 	counter := d.active[node]
 	counter.Add(1)
-	pc, resp, err := d.exchangeStart(s, node, req)
+	pc, resp, err := d.exchangeStart(node, req)
 	counter.Add(-1)
 	if err != nil {
 		if alt, altErr := d.pickReplica(rec, node); altErr == nil {
 			altCounter := d.active[alt]
 			altCounter.Add(1)
-			pc, resp, err = d.exchangeStart(s, alt, req)
+			pc, resp, err = d.exchangeStart(alt, req)
 			altCounter.Add(-1)
 			node = alt
 		}
@@ -211,7 +211,7 @@ func (d *Distributor) serveMiss(s *shard, client net.Conn, key conntrack.ClientK
 	sp.SetBackend(string(node), resp.SpanID)
 	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
 		f.Finish(nil, nil)
-		return true, d.streamResponse(s, client, key, req, node, pc, resp, start, routeCost, sp)
+		return true, d.streamResponse(client, key, req, node, pc, resp, start, routeCost, sp)
 	}
 	e, berr := d.bufferEntry(pc, resp)
 	if berr != nil {
@@ -230,7 +230,7 @@ func (d *Distributor) serveMiss(s *shard, client net.Conn, key conntrack.ClientK
 // serveStaleEntry handles an expired entry: revalidate it against a back
 // end with a conditional GET (coalesced like a miss), falling back to
 // stale-on-error service when no replica can answer.
-func (d *Distributor) serveStaleEntry(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, stale *respcache.Entry, start time.Time, sp *telemetry.Span) (handled, connOK bool) {
+func (d *Distributor) serveStaleEntry(client net.Conn, key conntrack.ClientKey, req *httpx.Request, stale *respcache.Entry, start time.Time, sp *telemetry.Span) (handled, connOK bool) {
 	f, leader := d.cache.BeginFlight(req.Path)
 	if !leader {
 		e, err := f.Wait()
@@ -261,7 +261,7 @@ func (d *Distributor) serveStaleEntry(s *shard, client net.Conn, key conntrack.C
 	}
 	// conditional GET carrying the stored validator; a 304 means the body
 	// never moves again
-	rr := s.pools.AcquireRequest()
+	rr := httpx.AcquireRequest()
 	rr.Method = "GET"
 	rr.Target = req.Target
 	rr.Path = req.Path
@@ -270,18 +270,18 @@ func (d *Distributor) serveStaleEntry(s *shard, client net.Conn, key conntrack.C
 	rr.Header.Set("If-None-Match", stale.Stored.ETag)
 	counter := d.active[node]
 	counter.Add(1)
-	pc, resp, err := d.exchangeStart(s, node, rr)
+	pc, resp, err := d.exchangeStart(node, rr)
 	counter.Add(-1)
 	if err != nil {
 		if alt, altErr := d.pickReplica(rec, node); altErr == nil {
 			altCounter := d.active[alt]
 			altCounter.Add(1)
-			pc, resp, err = d.exchangeStart(s, alt, rr)
+			pc, resp, err = d.exchangeStart(alt, rr)
 			altCounter.Add(-1)
 			node = alt
 		}
 	}
-	s.pools.ReleaseRequest(rr)
+	httpx.ReleaseRequest(rr)
 	sp.MarkBackend()
 	if err != nil {
 		f.Finish(nil, err)
@@ -304,7 +304,7 @@ func (d *Distributor) serveStaleEntry(s *shard, client net.Conn, key conntrack.C
 	}
 	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
 		f.Finish(nil, nil)
-		return true, d.streamResponse(s, client, key, req, node, pc, resp, start, routeCost, sp)
+		return true, d.streamResponse(client, key, req, node, pc, resp, start, routeCost, sp)
 	}
 	e, berr := d.bufferEntry(pc, resp)
 	if berr != nil {
@@ -372,8 +372,8 @@ func (d *Distributor) settleConn(pc *conntrack.PooledConn, resp *httpx.Response)
 // to the client and records the exchange, exactly as the non-cached relay
 // path does (it is that path's tail, shared with the cache's uncacheable
 // fallbacks). Returns whether the client connection remains usable.
-func (d *Distributor) streamResponse(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, node config.NodeID, pc *conntrack.PooledConn, resp *httpx.Response, start time.Time, routeCost time.Duration, sp *telemetry.Span) bool {
-	relayed, relayErr := s.pools.RelayResponse(client, resp, pc.Reader, req.Proto, !req.KeepAlive())
+func (d *Distributor) streamResponse(client net.Conn, key conntrack.ClientKey, req *httpx.Request, node config.NodeID, pc *conntrack.PooledConn, resp *httpx.Response, start time.Time, routeCost time.Duration, sp *telemetry.Span) bool {
+	relayed, relayErr := httpx.RelayResponse(client, resp, pc.Reader, req.Proto, !req.KeepAlive())
 	if relayErr != nil {
 		// The header already reached the client, so the exchange cannot
 		// be retried; the back-end connection has lost framing either

@@ -14,6 +14,7 @@ import (
 	"webcluster/internal/backend"
 	"webcluster/internal/httpx"
 	"webcluster/internal/respcache"
+	"webcluster/internal/testutil"
 )
 
 // withCache returns a startClusterOpts tweak enabling the response cache.
@@ -118,6 +119,8 @@ func TestCacheClientConditional(t *testing.T) {
 	if resp.StatusCode != 200 || !bytes.Equal(resp.Body, body) {
 		t.Fatalf("mismatched If-None-Match: status=%d body=%q", resp.StatusCode, resp.Body)
 	}
+	// The 304 is counted after its last byte reaches the client.
+	testutil.Eventually(t, 5*time.Second, func() bool { return rc.Stats().NotModified >= 1 }, "304 never counted")
 	if st := rc.Stats(); st.NotModified != 1 {
 		t.Fatalf("notModified = %d, want 1", st.NotModified)
 	}

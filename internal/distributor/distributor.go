@@ -97,23 +97,6 @@ type Options struct {
 	// disables admission entirely — the request path is then identical
 	// to a build without the subsystem.
 	Admission *admission.Options
-	// Shards is the number of accept/relay shards (per-core data-plane
-	// partitions). Each shard gets its own SO_REUSEPORT listener where
-	// the platform supports it (striped accept goroutines on one
-	// listener otherwise), its own httpx buffer pools, a private
-	// conntrack idle stripe per back end, and a mapping-table lock
-	// stripe count to match, so hot connections stop bouncing between
-	// CPUs. Default 1 (the unsharded layout).
-	Shards int
-}
-
-// shard is one data-plane partition of the distributor: a listener (or
-// accept stripe), private buffer pools, and an id selecting the
-// conntrack idle stripe. Every connection is served start-to-finish by
-// the shard that accepted it.
-type shard struct {
-	id    int
-	pools *httpx.Pools
 }
 
 // Distributor is the content-aware front end. Construct with New.
@@ -139,14 +122,12 @@ type Distributor struct {
 	exchangeRetries int
 	retryBackoff    time.Duration
 
-	shards []*shard
-
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    chan struct{}
-	closeOne  sync.Once
-	wg        sync.WaitGroup
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	closed   chan struct{}
+	closeOne sync.Once
+	wg       sync.WaitGroup
 
 	tel *telemetry.Telemetry
 	jnl *journal.Journal
@@ -222,15 +203,11 @@ func New(opts Options) (*Distributor, error) {
 	if opts.Cache != nil {
 		registerCacheMetrics(stats, opts.Cache)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	d := &Distributor{
 		table:     opts.Table,
 		cluster:   opts.Cluster,
 		picker:    picker,
-		mapping:   conntrack.NewMappingTableStriped(shards),
+		mapping:   conntrack.NewMappingTable(),
 		cache:     opts.Cache,
 		tel:       opts.Telemetry,
 		jnl:       opts.Journal,
@@ -245,22 +222,18 @@ func New(opts Options) (*Distributor, error) {
 		exchangeRetries: exchangeRetries,
 		retryBackoff:    retryBackoff,
 	}
-	d.shards = make([]*shard, shards)
-	for i := range d.shards {
-		d.shards[i] = &shard{id: i, pools: httpx.NewPools()}
-	}
 	addrs := make(map[config.NodeID]string, len(opts.Cluster.Nodes))
 	for _, n := range opts.Cluster.Nodes {
 		addrs[n.ID] = n.Addr
 		d.active[n.ID] = &atomic.Int64{}
 	}
-	d.pool = conntrack.NewPoolSharded(func(node config.NodeID) (net.Conn, error) {
+	d.pool = conntrack.NewPool(func(node config.NodeID) (net.Conn, error) {
 		addr, ok := addrs[node]
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown node %s", ErrNoBackend, node)
 		}
 		return net.DialTimeout("tcp", addr, 2*time.Second)
-	}, prefork, maxConns, shards)
+	}, prefork, maxConns)
 	d.pool.SetFaults(opts.Faults)
 	if opts.Admission != nil {
 		admOpts := *opts.Admission
@@ -329,48 +302,28 @@ func (d *Distributor) MeanRouteOverhead() time.Duration {
 
 // Start pre-forks connections to every node, then listens on addr (":0"
 // for ephemeral) and serves in the background, returning the bound
-// address. With Shards > 1 each shard accepts on its own SO_REUSEPORT
-// listener bound to the same address where the platform supports it (the
-// kernel then spreads incoming connections across shards); otherwise all
-// shards run striped accept loops on one shared listener.
+// address.
 func (d *Distributor) Start(addr string) (string, error) {
 	if err := d.pool.Prefork(d.cluster.NodeIDs()); err != nil {
 		return "", fmt.Errorf("distributor: prefork: %w", err)
 	}
-	listeners, err := listenShards(addr, len(d.shards))
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("distributor: listen: %w", err)
 	}
 	d.mu.Lock()
-	d.listeners = listeners
+	d.listener = l
 	d.mu.Unlock()
-	for i, s := range d.shards {
-		l := listeners[0]
-		if len(listeners) == len(d.shards) {
-			l = listeners[i]
-		}
-		d.wg.Add(1)
-		go func(l net.Listener, s *shard) {
-			defer d.wg.Done()
-			d.acceptLoop(l, s)
-		}(l, s)
-	}
-	return listeners[0].Addr().String(), nil
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		d.acceptLoop(l)
+	}()
+	return l.Addr().String(), nil
 }
 
-// listenSingle is the one-shared-listener shape of listenShards: the
-// unsharded layout, and the fallback when a REUSEPORT group can't be
-// assembled.
-func listenSingle(addr string) ([]net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return []net.Listener{l}, nil
-}
-
-// acceptLoop accepts client connections for one shard until Close.
-func (d *Distributor) acceptLoop(l net.Listener, s *shard) {
+// acceptLoop accepts client connections until Close.
+func (d *Distributor) acceptLoop(l net.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -395,7 +348,7 @@ func (d *Distributor) acceptLoop(l net.Listener, s *shard) {
 				delete(d.conns, conn)
 				d.mu.Unlock()
 			}()
-			d.serveClient(s, conn)
+			d.serveClient(conn)
 		}()
 	}
 }
@@ -414,13 +367,11 @@ func clientKey(conn net.Conn) conntrack.ClientKey {
 // serveClient runs the §2.2 lifecycle for one client connection: install a
 // mapping entry at "SYN" (accept), walk the state machine through request
 // binding and teardown, and release pre-forked connections after each
-// relayed exchange. The connection is pinned to the accepting shard: its
-// buffers come from the shard's pools and its back-end checkouts prefer
-// the shard's idle stripe. Pipelined HTTP/1.1 requests drain in-loop —
-// buffered bytes from the same read feed the next iteration directly,
-// and the per-connection route hint answers repeat lookups with one
-// pointer compare instead of re-entering the shared router state.
-func (d *Distributor) serveClient(s *shard, client net.Conn) {
+// relayed exchange. Pipelined HTTP/1.1 requests drain in-loop — buffered
+// bytes from the same read feed the next iteration directly, and the
+// per-connection route hint answers repeat lookups with one pointer
+// compare instead of re-entering the shared router state.
+func (d *Distributor) serveClient(client net.Conn) {
 	key := clientKey(client)
 	// The accept completing stands in for the SYN/ACK exchange; Go hands
 	// us the connection post-handshake, so install then mark established.
@@ -432,13 +383,13 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 	}
 	reset := func() { _, _ = d.mapping.Advance(key, conntrack.EventReset) }
 
-	// Reader and request come from the shard's pools and are reused across
+	// Reader and request come from the httpx pools and are reused across
 	// every keep-alive request on this connection, so steady-state parsing
 	// allocates nothing.
-	br := s.pools.AcquireReader(client)
-	defer s.pools.ReleaseReader(br)
-	req := s.pools.AcquireRequest()
-	defer s.pools.ReleaseRequest(req)
+	br := httpx.AcquireReader(client)
+	defer httpx.ReleaseReader(br)
+	req := httpx.AcquireRequest()
+	defer httpx.ReleaseRequest(req)
 	var hint urltable.Hint
 	for {
 		// Tracing starts after the first request byte is visible, so
@@ -475,7 +426,7 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 		sp.AdoptTrace(req.TraceID)
 		sp.MarkParse()
 		sp.SetRequest(req.Method, req.Path)
-		ok := d.relayRequest(s, client, key, req, &hint, sp)
+		ok := d.relayRequest(client, key, req, &hint, sp)
 		d.tel.FinishSpan(sp)
 		if !ok {
 			reset()
@@ -506,7 +457,7 @@ func (d *Distributor) finishSpan(sp *telemetry.Span, outcome string) {
 // reports whether the client connection remains usable. sp is the
 // request's span (nil when tracing is off); relayRequest marks phases and
 // outcomes but the caller finishes it.
-func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, hint *urltable.Hint, sp *telemetry.Span) bool {
+func (d *Distributor) relayRequest(client net.Conn, key conntrack.ClientKey, req *httpx.Request, hint *urltable.Hint, sp *telemetry.Span) bool {
 	if sp != nil {
 		// Propagate the trace in-band: every forwarded exchange below
 		// carries X-Dist-Trace, and the chosen back end echoes it with its
@@ -528,7 +479,7 @@ func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.Clie
 		// Cache hits (and cache-led fetches) never bind a back-end
 		// connection, so the mapping entry stays ESTABLISHED; a miss the
 		// cache declines falls through to the ordinary relay below.
-		if handled, ok := d.serveFromCache(s, client, key, req, sp); handled {
+		if handled, ok := d.serveFromCache(client, key, req, sp); handled {
 			return ok
 		}
 	}
@@ -563,7 +514,7 @@ func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.Clie
 
 	counter := d.active[node]
 	counter.Add(1)
-	pc, resp, err := d.exchangeStart(s, node, req)
+	pc, resp, err := d.exchangeStart(node, req)
 	counter.Add(-1)
 	if err != nil && idempotent(req) {
 		// The chosen back end failed before any response header arrived:
@@ -592,7 +543,7 @@ func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.Clie
 			}
 			altCounter := d.active[alt]
 			altCounter.Add(1)
-			pc, resp, err = d.exchangeStart(s, alt, req)
+			pc, resp, err = d.exchangeStart(alt, req)
 			altCounter.Add(-1)
 			node = alt
 		}
@@ -627,7 +578,7 @@ func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.Clie
 	// buffer and records the exchange. The exchange deadline stays armed
 	// across the copy so a back end that stalls mid-body cannot pin this
 	// goroutine.
-	if !d.streamResponse(s, client, key, req, node, pc, resp, start, routeCost, sp) {
+	if !d.streamResponse(client, key, req, node, pc, resp, start, routeCost, sp) {
 		return false
 	}
 	if _, err := d.mapping.Advance(key, conntrack.EventRequestDone); err != nil {
@@ -655,7 +606,7 @@ func idempotent(req *httpx.Request) bool {
 //
 // On success the exchange deadline is still armed; the caller clears it
 // after relaying the body.
-func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
+func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
 	var lastErr error
 	backoff := d.retryBackoff
 	for attempt := 0; attempt <= d.exchangeRetries; attempt++ {
@@ -668,11 +619,11 @@ func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Req
 				backoff *= 2
 			}
 		}
-		pc, err := d.pool.AcquireShard(node, s.id)
+		pc, err := d.pool.Acquire(node)
 		if err != nil {
 			return nil, nil, fmt.Errorf("acquiring connection to %s: %w", node, err)
 		}
-		resp, err := d.attemptStart(s, pc, req)
+		resp, err := d.attemptStart(pc, req)
 		if err != nil {
 			d.pool.Discard(pc)
 			lastErr = fmt.Errorf("exchange with %s: %w", node, err)
@@ -687,13 +638,13 @@ func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Req
 // Connection dropped on the wire — no clone; head and body leave in one
 // vectored write) and parses the response header. The deadline is left
 // armed: it also bounds the body relay.
-func (d *Distributor) attemptStart(s *shard, pc *conntrack.PooledConn, req *httpx.Request) (*httpx.Response, error) {
+func (d *Distributor) attemptStart(pc *conntrack.PooledConn, req *httpx.Request) (*httpx.Response, error) {
 	if d.exchangeTimeout > 0 {
 		if err := pc.Conn.SetDeadline(time.Now().Add(d.exchangeTimeout)); err != nil {
 			return nil, fmt.Errorf("arming deadline: %w", err)
 		}
 	}
-	if err := s.pools.WriteProxyRequest(pc.Conn, req); err != nil {
+	if err := httpx.WriteProxyRequest(pc.Conn, req); err != nil {
 		return nil, fmt.Errorf("forwarding: %w", err)
 	}
 	resp, err := httpx.ReadResponseHeader(pc.Reader)
@@ -807,8 +758,8 @@ func (d *Distributor) Close() error {
 	d.closeOne.Do(func() {
 		close(d.closed)
 		d.mu.Lock()
-		for _, l := range d.listeners {
-			errs = append(errs, l.Close())
+		if d.listener != nil {
+			errs = append(errs, d.listener.Close())
 		}
 		for conn := range d.conns {
 			_ = conn.Close()

@@ -14,7 +14,7 @@ import (
 // writePipelined serializes reqs back-to-back into one buffer and sends
 // it in a single Write, so every follow-up request is already sitting in
 // the distributor's read buffer when it finishes the previous response —
-// the shard must drain them without re-entering the accept path.
+// the distributor must drain them without re-entering the accept path.
 func writePipelined(t *testing.T, conn net.Conn, paths []string, lastClose bool) {
 	t.Helper()
 	var buf bytes.Buffer

@@ -483,20 +483,15 @@ func grow(b []byte, n int64) []byte {
 // WriteRequest serializes req to w in wire format: the request head is
 // staged into a pooled buffer and goes out together with the body as one
 // vectored write.
-func (p *Pools) WriteRequest(w io.Writer, req *Request) error {
-	hb := p.acquireHeaderBuf()
-	defer p.releaseHeaderBuf(hb)
+func WriteRequest(w io.Writer, req *Request) error {
+	hb := acquireHeaderBuf()
+	defer releaseHeaderBuf(hb)
 	head := appendRequestHead((*hb)[:0], req, req.Proto)
 	*hb = head[:0]
-	if _, err := p.writeVectored(w, head, req.Body); err != nil {
+	if _, err := writeVectored(w, head, req.Body); err != nil {
 		return fmt.Errorf("writing request: %w", err)
 	}
 	return nil
-}
-
-// WriteRequest is Pools.WriteRequest on the default pool set.
-func WriteRequest(w io.Writer, req *Request) error {
-	return defaultPools.WriteRequest(w, req)
 }
 
 // WriteProxyRequest forwards req toward a back end: the request is written
@@ -504,20 +499,15 @@ func WriteRequest(w io.Writer, req *Request) error {
 // exchange) with the hop-by-hop Connection header dropped on the wire —
 // no header clone, no mutation of req. Head and body leave in one
 // vectored write.
-func (p *Pools) WriteProxyRequest(w io.Writer, req *Request) error {
-	hb := p.acquireHeaderBuf()
-	defer p.releaseHeaderBuf(hb)
+func WriteProxyRequest(w io.Writer, req *Request) error {
+	hb := acquireHeaderBuf()
+	defer releaseHeaderBuf(hb)
 	head := appendRequestHead((*hb)[:0], req, Proto11)
 	*hb = head[:0]
-	if _, err := p.writeVectored(w, head, req.Body); err != nil {
+	if _, err := writeVectored(w, head, req.Body); err != nil {
 		return fmt.Errorf("forwarding request: %w", err)
 	}
 	return nil
-}
-
-// WriteProxyRequest is Pools.WriteProxyRequest on the default pool set.
-func WriteProxyRequest(w io.Writer, req *Request) error {
-	return defaultPools.WriteProxyRequest(w, req)
 }
 
 // Response is a parsed or to-be-written HTTP response.

@@ -23,83 +23,60 @@ const (
 	maxHeaderBufSize = 16 << 10
 )
 
-// Pools is one independent set of the buffer pools the message fast path
-// draws from: bufio readers/writers, reusable Requests, relay copy
-// buffers, header staging buffers and writev vectors. The distributor
-// gives each accept shard its own Pools so buffers stay core-local
-// instead of bouncing between CPUs; everything else uses the package
-// default via the package-level Acquire/Release functions. A Pools value
-// is owned by exactly one shard — values acquired from it must be
-// released back to the same Pools (distlint:pershard, enforced by the
-// shardaffinity analyzer).
-type Pools struct {
-	readers  sync.Pool
-	writers  sync.Pool
-	requests sync.Pool
-	copyBufs sync.Pool
-	headers  sync.Pool
-	bufvecs  sync.Pool
-}
-
-// PerShardMarker marks Pools as a per-shard type for the shardaffinity
-// analyzer, which only sees doc-comment markers in the package it is
-// analyzing; an empty marker method is visible through the type checker
-// everywhere (the same convention as cowdiscipline's COWMarker).
-func (*Pools) PerShardMarker() {}
-
-// NewPools returns an independent pool set.
-func NewPools() *Pools {
-	p := &Pools{}
-	p.readers.New = func() any { return bufio.NewReaderSize(nil, readerBufSize) }
-	p.writers.New = func() any { return bufio.NewWriterSize(nil, writerBufSize) }
-	p.requests.New = func() any { return &Request{Header: make(Header, 0, 8)} }
-	p.copyBufs.New = func() any {
+// The buffer pools the message fast path draws from: bufio readers and
+// writers, reusable Requests, relay copy buffers, header staging buffers
+// and writev vectors. One set serves the whole process.
+var (
+	readerPool = sync.Pool{New: func() any {
+		return bufio.NewReaderSize(nil, readerBufSize)
+	}}
+	writerPool = sync.Pool{New: func() any {
+		return bufio.NewWriterSize(nil, writerBufSize)
+	}}
+	requestPool = sync.Pool{New: func() any {
+		return &Request{Header: make(Header, 0, 8)}
+	}}
+	copyBufPool = sync.Pool{New: func() any {
 		b := make([]byte, CopyBufSize)
 		return &b
-	}
-	p.headers.New = func() any {
+	}}
+	headerBufPool = sync.Pool{New: func() any {
 		b := make([]byte, 0, headerBufSize)
 		return &b
-	}
-	p.bufvecs.New = func() any {
+	}}
+	bufvecPool = sync.Pool{New: func() any {
 		v := make(net.Buffers, 0, 2)
 		return &v
-	}
-	return p
-}
-
-// defaultPools backs the package-level Acquire/Release functions: the
-// shared pool set for callers without a shard of their own (backends,
-// management plane, tests).
-var defaultPools = NewPools()
+	}}
+)
 
 // AcquireReader returns a pooled bufio.Reader reset to read from r.
 // Release it with ReleaseReader once no buffered bytes are needed — for a
 // persistent connection that means when the connection is closed, not
 // between requests (the buffer may hold pipelined bytes).
-func (p *Pools) AcquireReader(r io.Reader) *bufio.Reader {
-	br := p.readers.Get().(*bufio.Reader)
+func AcquireReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
 }
 
 // ReleaseReader returns br to the pool. The caller must not use br again.
-func (p *Pools) ReleaseReader(br *bufio.Reader) {
+func ReleaseReader(br *bufio.Reader) {
 	if br == nil {
 		return
 	}
 	br.Reset(nil)
-	p.readers.Put(br)
+	readerPool.Put(br)
 }
 
 // AcquireRequest returns a pooled Request ready for ReadRequestInto.
-func (p *Pools) AcquireRequest() *Request {
-	return p.requests.Get().(*Request)
+func AcquireRequest() *Request {
+	return requestPool.Get().(*Request)
 }
 
 // ReleaseRequest returns req to the pool. Oversized body and header
 // storage is dropped so one large upload doesn't pin memory forever.
-func (p *Pools) ReleaseRequest(req *Request) {
+func ReleaseRequest(req *Request) {
 	if req == nil {
 		return
 	}
@@ -110,63 +87,44 @@ func (p *Pools) ReleaseRequest(req *Request) {
 		req.Header = nil
 	}
 	req.reset()
-	p.requests.Put(req)
+	requestPool.Put(req)
 }
 
 // acquireWriter returns a pooled bufio.Writer targeting w.
-func (p *Pools) acquireWriter(w io.Writer) *bufio.Writer {
-	bw := p.writers.Get().(*bufio.Writer)
+func acquireWriter(w io.Writer) *bufio.Writer {
+	bw := writerPool.Get().(*bufio.Writer)
 	bw.Reset(w)
 	return bw
 }
 
 // releaseWriter returns bw to the pool, dropping any unflushed bytes from
 // a failed write (Reset discards them).
-func (p *Pools) releaseWriter(bw *bufio.Writer) {
+func releaseWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
-	p.writers.Put(bw)
+	writerPool.Put(bw)
 }
 
 // acquireCopyBuf returns a pooled CopyBufSize relay buffer.
-func (p *Pools) acquireCopyBuf() *[]byte {
-	return p.copyBufs.Get().(*[]byte)
+func acquireCopyBuf() *[]byte {
+	return copyBufPool.Get().(*[]byte)
 }
 
 // releaseCopyBuf returns a relay buffer to the pool.
-func (p *Pools) releaseCopyBuf(b *[]byte) {
-	p.copyBufs.Put(b)
+func releaseCopyBuf(b *[]byte) {
+	copyBufPool.Put(b)
 }
 
 // acquireHeaderBuf returns an empty staging buffer for a header section.
-func (p *Pools) acquireHeaderBuf() *[]byte {
-	return p.headers.Get().(*[]byte)
+func acquireHeaderBuf() *[]byte {
+	return headerBufPool.Get().(*[]byte)
 }
 
 // releaseHeaderBuf returns a staging buffer, dropping outliers a huge
 // header section grew.
-func (p *Pools) releaseHeaderBuf(b *[]byte) {
+func releaseHeaderBuf(b *[]byte) {
 	if cap(*b) > maxHeaderBufSize {
 		return
 	}
 	*b = (*b)[:0]
-	p.headers.Put(b)
+	headerBufPool.Put(b)
 }
-
-// AcquireReader returns a bufio.Reader from the default pool set; see
-// Pools.AcquireReader.
-func AcquireReader(r io.Reader) *bufio.Reader { return defaultPools.AcquireReader(r) }
-
-// ReleaseReader returns br to the default pool set.
-func ReleaseReader(br *bufio.Reader) { defaultPools.ReleaseReader(br) }
-
-// AcquireRequest returns a pooled Request from the default pool set.
-func AcquireRequest() *Request { return defaultPools.AcquireRequest() }
-
-// ReleaseRequest returns req to the default pool set.
-func ReleaseRequest(req *Request) { defaultPools.ReleaseRequest(req) }
-
-// acquireWriter returns a pooled bufio.Writer targeting w.
-func acquireWriter(w io.Writer) *bufio.Writer { return defaultPools.acquireWriter(w) }
-
-// releaseWriter returns bw to the default pool set.
-func releaseWriter(bw *bufio.Writer) { defaultPools.releaseWriter(bw) }

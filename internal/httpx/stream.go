@@ -51,18 +51,13 @@ func copyBodyBuf(dst io.Writer, src io.Reader, n int64, buf []byte) (int64, erro
 // returned count is what reached dst, and on error the connection
 // carrying src can no longer be reused for another exchange (framing is
 // lost).
-func (p *Pools) CopyBody(dst io.Writer, src io.Reader, n int64) (int64, error) {
+func CopyBody(dst io.Writer, src io.Reader, n int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	bufp := p.acquireCopyBuf()
-	defer p.releaseCopyBuf(bufp)
+	bufp := acquireCopyBuf()
+	defer releaseCopyBuf(bufp)
 	return copyBodyBuf(dst, src, n, *bufp)
-}
-
-// CopyBody is Pools.CopyBody on the default pool set.
-func CopyBody(dst io.Writer, src io.Reader, n int64) (int64, error) {
-	return defaultPools.CopyBody(dst, src, n)
 }
 
 // RelayResponse streams resp from a back-end connection to the client:
@@ -80,20 +75,20 @@ func CopyBody(dst io.Writer, src io.Reader, n int64) (int64, error) {
 // On error the exchange is unrecoverable: the header section (and
 // possibly part of the body) already went out, so the caller must close
 // both connections (no retry, no reuse).
-func (p *Pools) RelayResponse(dst io.Writer, resp *Response, src io.Reader, clientProto string, forceClose bool) (int64, error) {
-	hb := p.acquireHeaderBuf()
-	defer p.releaseHeaderBuf(hb)
+func RelayResponse(dst io.Writer, resp *Response, src io.Reader, clientProto string, forceClose bool) (int64, error) {
+	hb := acquireHeaderBuf()
+	defer releaseHeaderBuf(hb)
 	head := appendResponseHeader((*hb)[:0], resp, clientProto, forceClose)
 	*hb = head[:0] // keep any growth pooled
 	total := resp.ContentLength
 	if total <= 0 {
-		if _, err := p.writeVectored(dst, head, nil); err != nil {
+		if _, err := writeVectored(dst, head, nil); err != nil {
 			return 0, fmt.Errorf("writing response header: %w", err)
 		}
 		return 0, nil
 	}
-	bufp := p.acquireCopyBuf()
-	defer p.releaseCopyBuf(bufp)
+	bufp := acquireCopyBuf()
+	defer releaseCopyBuf(bufp)
 	buf := *bufp
 	chunk := total
 	if chunk > int64(len(buf)) {
@@ -102,7 +97,7 @@ func (p *Pools) RelayResponse(dst io.Writer, resp *Response, src io.Reader, clie
 	// One read before the header goes out: whatever src already buffered
 	// rides the same writev as the header section.
 	rn, rerr := src.Read(buf[:chunk])
-	wn, werr := p.writeVectored(dst, head, buf[:rn])
+	wn, werr := writeVectored(dst, head, buf[:rn])
 	written := wn - int64(len(head))
 	if written < 0 {
 		written = 0
@@ -121,9 +116,4 @@ func (p *Pools) RelayResponse(dst io.Writer, resp *Response, src io.Reader, clie
 	}
 	m, err := copyBodyBuf(dst, src, total-written, buf)
 	return written + m, err
-}
-
-// RelayResponse is Pools.RelayResponse on the default pool set.
-func RelayResponse(dst io.Writer, resp *Response, src io.Reader, clientProto string, forceClose bool) (int64, error) {
-	return defaultPools.RelayResponse(dst, resp, src, clientProto, forceClose)
 }

@@ -125,9 +125,9 @@ func appendRequestHead(b []byte, req *Request, proto string) []byte {
 // that retries short writes per segment, so a writer returning n < len(p)
 // with a nil error (the fault injector's MaxWriteChunk does) can never
 // reorder or drop bytes the way net.Buffers' generic fallback would.
-func (p *Pools) writeVectored(w io.Writer, head, body []byte) (int64, error) {
+func writeVectored(w io.Writer, head, body []byte) (int64, error) {
 	if tc, ok := w.(*net.TCPConn); ok && len(body) > 0 {
-		vp := p.bufvecs.Get().(*net.Buffers)
+		vp := bufvecPool.Get().(*net.Buffers)
 		full := append((*vp)[:0], head, body)
 		*vp = full
 		// WriteTo consumes the vector (advances *vp as segments drain), so
@@ -137,7 +137,7 @@ func (p *Pools) writeVectored(w io.Writer, head, body []byte) (int64, error) {
 		n, err := vp.WriteTo(tc)
 		full[0], full[1] = nil, nil
 		*vp = full[:0]
-		p.bufvecs.Put(vp)
+		bufvecPool.Put(vp)
 		return n, err
 	}
 	var n int64

@@ -27,11 +27,10 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteVectoredShortWrites(t *testing.T) {
-	p := NewPools()
 	head := []byte("HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n")
 	body := []byte("abcdefghijklmnopqrstuvwxyz")
 	w := &chunkWriter{chunk: 3}
-	n, err := p.writeVectored(w, head, body)
+	n, err := writeVectored(w, head, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +41,8 @@ func TestWriteVectoredShortWrites(t *testing.T) {
 }
 
 func TestWriteVectoredZeroByteWriter(t *testing.T) {
-	p := NewPools()
 	w := &chunkWriter{chunk: 0} // accepts nothing: must not spin forever
-	_, err := p.writeVectored(w, []byte("head"), []byte("body"))
+	_, err := writeVectored(w, []byte("head"), []byte("body"))
 	if err != io.ErrShortWrite {
 		t.Fatalf("err = %v, want ErrShortWrite", err)
 	}
@@ -55,7 +53,6 @@ func TestWriteVectoredZeroByteWriter(t *testing.T) {
 // that only takes a few bytes at a time, and checks the byte stream the
 // client sees is complete and in order.
 func TestRelayResponseShortWriteClient(t *testing.T) {
-	p := NewPools()
 	body := bytes.Repeat([]byte("0123456789"), 400) // 4000 B, > one chunk at 7 B
 	resp := &Response{
 		Proto: Proto11, StatusCode: 200, Status: "OK",
@@ -63,7 +60,7 @@ func TestRelayResponseShortWriteClient(t *testing.T) {
 		ContentLength: int64(len(body)),
 	}
 	w := &chunkWriter{chunk: 7}
-	written, err := p.RelayResponse(w, resp, bytes.NewReader(body), Proto11, true)
+	written, err := RelayResponse(w, resp, bytes.NewReader(body), Proto11, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +80,13 @@ func TestRelayResponseShortWriteClient(t *testing.T) {
 }
 
 func TestWriteRequestShortWriteWriter(t *testing.T) {
-	p := NewPools()
 	req := &Request{
 		Method: "GET", Target: "/a/b.html", Path: "/a/b.html",
 		Proto:  Proto11,
 		Header: NewHeader("Host", "c", "X-Token", strings.Repeat("t", 200)),
 	}
 	w := &chunkWriter{chunk: 5}
-	if err := p.WriteRequest(w, req); err != nil {
+	if err := WriteRequest(w, req); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(w.buf.Bytes())))
@@ -120,13 +116,12 @@ func TestRelayResponseVectoredTCP(t *testing.T) {
 			return
 		}
 		defer func() { _ = conn.Close() }()
-		p := NewPools()
 		resp := &Response{
 			Proto: Proto11, StatusCode: 200,
 			Header:        NewHeader("X-Served-By", "n1"),
 			ContentLength: int64(len(body)),
 		}
-		_, err = p.RelayResponse(conn, resp, bytes.NewReader(body), Proto11, true)
+		_, err = RelayResponse(conn, resp, bytes.NewReader(body), Proto11, true)
 		done <- err
 	}()
 	conn, err := net.Dial("tcp", l.Addr().String())

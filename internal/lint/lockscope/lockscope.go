@@ -1,9 +1,10 @@
 // Package lockscope flags blocking operations performed while a mutex
 // is held: network I/O, dials, unbounded waits (WaitGroup.Wait,
 // singleflight-style Flight.Wait), and sends on channels known to be
-// unbuffered. Holding a shard mutex or flightMu across any of these
-// turns one slow peer into a stalled shard — the exact failure mode the
-// respcache and conntrack fast paths were built to avoid.
+// unbuffered. Holding a cache-partition mutex, a per-node pool mutex or
+// flightMu across any of these turns one slow peer into a stalled fast
+// path — the exact failure mode the respcache and conntrack fast paths
+// were built to avoid.
 //
 // Allowed patterns the analyzer recognizes:
 //

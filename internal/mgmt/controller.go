@@ -353,11 +353,22 @@ func (c *Controller) CacheStats() (stats respcache.Stats, ok bool) {
 	return v.Stats(), true
 }
 
-// logf appends to the audit log.
+// maxAuditEntries bounds the controller's audit log: logf drops the
+// oldest entries beyond it, so a long-running controller's `console
+// audit` reply stays far below the wire's header limit.
+const maxAuditEntries = 10000
+
+// logf appends to the audit log, dropping the oldest entry once the log
+// holds maxAuditEntries. Reslicing from the front leaves dropped entries
+// in the backing array only until the next append reallocates it, which
+// copies just the retained tail.
 func (c *Controller) logf(format string, args ...any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.audit = append(c.audit, fmt.Sprintf(format, args...))
+	if n := len(c.audit); n > maxAuditEntries {
+		c.audit = c.audit[n-maxAuditEntries:]
+	}
 }
 
 // AuditLog returns a copy of the audit entries.

@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -303,6 +304,28 @@ func TestControllerFailedStepLeavesTableUnchanged(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("failure not audited")
+	}
+}
+
+func TestControllerAuditLogCapped(t *testing.T) {
+	ctl := NewController(urltable.New(urltable.Options{}))
+	const n = 2*maxAuditEntries + 1
+	for i := 0; i < n; i++ {
+		ctl.logf("entry %d", i)
+	}
+	log := ctl.AuditLog()
+	if len(log) != maxAuditEntries {
+		t.Fatalf("audit log holds %d entries, want %d", len(log), maxAuditEntries)
+	}
+	if first, want := log[0], "entry "+strconv.Itoa(n-maxAuditEntries); first != want {
+		t.Fatalf("oldest kept entry = %q, want %q", first, want)
+	}
+	if last, want := log[len(log)-1], "entry "+strconv.Itoa(n-1); last != want {
+		t.Fatalf("newest entry = %q, want %q", last, want)
+	}
+	log[len(log)-1] = "mutated"
+	if got := ctl.AuditLog(); got[len(got)-1] == "mutated" {
+		t.Fatal("AuditLog returned the controller's own slice, not a copy")
 	}
 }
 

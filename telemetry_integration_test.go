@@ -12,6 +12,7 @@ import (
 	"webcluster/internal/httpx"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/telemetry"
+	"webcluster/internal/testutil"
 )
 
 // launchTelemetryCluster starts a 3-node cluster with a console endpoint
@@ -78,17 +79,13 @@ func TestTracedRequestSpansMatch(t *testing.T) {
 		t.Fatalf("response trace ID = %x, want %x", resp.TraceID, clientTrace)
 	}
 
+	// Each side finishes its span after writing the reply's last byte, so
+	// a span can trail the response the client already holds.
 	var distSpan *telemetry.Span
-	for _, sp := range cluster.Telemetry.Spans(0) {
-		if sp.TraceID == clientTrace {
-			cp := sp
-			distSpan = &cp
-			break
-		}
-	}
-	if distSpan == nil {
-		t.Fatalf("no span with trace %x in distributor ring", clientTrace)
-	}
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		distSpan = findSpan(cluster.Telemetry.Spans(0), func(sp telemetry.Span) bool { return sp.TraceID == clientTrace })
+		return distSpan != nil
+	}, "no span with trace %x in distributor ring", clientTrace)
 	if distSpan.Status != 200 || distSpan.Path != paths[0] || distSpan.Outcome != "relayed" {
 		t.Fatalf("distributor span wrong: %+v", distSpan)
 	}
@@ -103,22 +100,26 @@ func TestTracedRequestSpansMatch(t *testing.T) {
 		t.Fatalf("unknown backend node %q", distSpan.Backend)
 	}
 	var backendSpan *telemetry.Span
-	for _, sp := range nh.Server.Telemetry().Spans(0) {
-		if sp.SpanID == distSpan.BackendSpan {
-			cp := sp
-			backendSpan = &cp
-			break
-		}
-	}
-	if backendSpan == nil {
-		t.Fatalf("backend %s has no span with ID %x", distSpan.Backend, distSpan.BackendSpan)
-	}
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		backendSpan = findSpan(nh.Server.Telemetry().Spans(0), func(sp telemetry.Span) bool { return sp.SpanID == distSpan.BackendSpan })
+		return backendSpan != nil
+	}, "backend %s has no span with ID %x", distSpan.Backend, distSpan.BackendSpan)
 	if backendSpan.TraceID != clientTrace {
 		t.Fatalf("backend span trace = %x, want %x", backendSpan.TraceID, clientTrace)
 	}
 	if backendSpan.Path != paths[0] || backendSpan.Status != 200 {
 		t.Fatalf("backend span wrong: %+v", backendSpan)
 	}
+}
+
+// findSpan returns a copy of the first span match accepts, or nil.
+func findSpan(spans []telemetry.Span, match func(telemetry.Span) bool) *telemetry.Span {
+	for _, sp := range spans {
+		if match(sp) {
+			return &sp
+		}
+	}
+	return nil
 }
 
 // TestConsoleClusterStats drives traffic through every node of a 3-node
@@ -146,14 +147,22 @@ func TestConsoleClusterStats(t *testing.T) {
 	}
 	defer func() { _ = console.Close() }()
 
-	resp, err := console.Do(mgmt.ConsoleRequest{Op: "stats"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats == nil {
-		t.Fatal("stats verb returned no Stats")
-	}
-	st := resp.Stats
+	// Each side counts a request after writing the reply's last byte, so
+	// the last counts can trail the responses: poll until the merged html
+	// counts are complete, then check every figure exactly.
+	var st *telemetry.ClusterStats
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		resp, err := console.Do(mgmt.ConsoleRequest{Op: "stats"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats == nil {
+			t.Fatal("stats verb returned no Stats")
+		}
+		st = resp.Stats
+		html := st.Merged.Classes["html"]
+		return html.Requests >= 18 && html.Latency.Count >= 18
+	}, "merged html counts never reached 18")
 	wantSources := map[string]bool{"distributor": false, "fast-1": false, "mid-1": false, "slow-1": false}
 	for _, s := range st.Sources {
 		if _, ok := wantSources[s]; ok {
