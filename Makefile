@@ -16,7 +16,7 @@ BENCH_TELEMETRY = BenchmarkTelemetryObserve|BenchmarkDistributorRelayTraced|Benc
 # decision, which must stay at 0 allocs/op.
 BENCH_ADMISSION = BenchmarkAdmissionDecision
 
-.PHONY: all vet lint build test race chaos sim bench allocguard ci
+.PHONY: all vet lint build test perfbench race chaos sim bench allocguard ci
 
 all: ci
 
@@ -44,6 +44,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module (its own go.mod), so `./...` above never
+# compiles it; vet and test it on its own so an internal API change that
+# breaks the end-to-end benchmark fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Local race lane: -short keeps the slow simulation tests out of the
 # edit-compile loop. CI's dedicated race job runs the full suite
@@ -96,4 +102,4 @@ allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalRecord$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json -tolerance 0
 
-ci: vet lint build test race allocguard
+ci: vet lint build test perfbench race allocguard

@@ -42,14 +42,14 @@ import (
 )
 
 // buildTable loads the §5.2-scale site (≈8700 objects) into a URL table.
-func buildTable(b *testing.B, cacheEntries int) (*urltable.Table, []string) {
+func buildTable(b *testing.B) (*urltable.Table, []string) {
 	b.Helper()
 	gen := content.DefaultGenParams()
 	site, err := content.GenerateSite(gen)
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := urltable.New(urltable.Options{CacheEntries: cacheEntries})
+	table := urltable.New()
 	for _, obj := range site.Objects() {
 		if err := table.Insert(obj, "n1"); err != nil {
 			b.Fatal(err)
@@ -66,11 +66,11 @@ func buildTable(b *testing.B, cacheEntries int) (*urltable.Table, []string) {
 	return table, paths
 }
 
-// BenchmarkURLTableLookup measures the §5.2 routing decision — multi-level
-// hash walk with the entry cache disabled (paper reports 4.32 µs on a
-// 350 MHz distributor for ~8700 objects).
+// BenchmarkURLTableLookup measures the §5.2 routing decision — the
+// multi-level hash walk (paper reports 4.32 µs on a 350 MHz distributor
+// for ~8700 objects).
 func BenchmarkURLTableLookup(b *testing.B) {
-	table, paths := buildTable(b, 0)
+	table, paths := buildTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,51 +81,29 @@ func BenchmarkURLTableLookup(b *testing.B) {
 	b.ReportMetric(float64(table.MemoryBytes())/1024, "table-KB")
 }
 
-// BenchmarkURLTableLookupCached is the same with the recently-accessed
-// entry cache enabled (the Mogul demultiplexing-speedup ablation).
-func BenchmarkURLTableLookupCached(b *testing.B) {
-	table, paths := buildTable(b, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := table.Route(paths[i&0xffff]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := table.Stats()
-	b.ReportMetric(100*float64(st.CacheHits)/float64(st.Lookups), "cache-hit-%")
-}
-
 // BenchmarkURLTableLookupParallel drives the routing decision from every
 // CPU at once — the distributor's real shape, where each client connection
 // goroutine calls Route concurrently. With the copy-on-write read path
 // this must scale with GOMAXPROCS instead of serialising on a table lock.
 func BenchmarkURLTableLookupParallel(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		entries int
-	}{{"nocache", 0}, {"cached", 1024}} {
-		b.Run(bc.name, func(b *testing.B) {
-			table, paths := buildTable(b, bc.entries)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := table.Route(paths[i&0xffff]); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
-	}
+	table, paths := buildTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := table.Route(paths[i&0xffff]); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkURLTableInsert measures table construction cost.
 func BenchmarkURLTableInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table := urltable.New(urltable.Options{})
+		table := urltable.New()
 		for j := 0; j < 1000; j++ {
 			obj := content.Object{
 				Path:  fmt.Sprintf("/d%d/f%d.html", j%16, j),
@@ -268,7 +246,7 @@ func liveCluster(b *testing.B, mods ...func(*distributor.Options)) (front string
 		})
 		closers = append(closers, func() { _ = srv.Close() })
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 64})
+	table := urltable.New()
 	for path, size := range benchObjects {
 		obj := content.Object{Path: path, Size: int64(size), Class: content.ClassHTML}
 		if err := table.Insert(obj, "n1", "n2"); err != nil {
@@ -448,7 +426,7 @@ func BenchmarkControllerInsert(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer func() { _ = broker.Close() }()
-			ctl := mgmt.NewController(urltable.New(urltable.Options{}))
+			ctl := mgmt.NewController(urltable.New())
 			if err := ctl.AddNode("n1", addr); err != nil {
 				b.Fatal(err)
 			}

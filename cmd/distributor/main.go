@@ -157,10 +157,10 @@ func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, access
 		return err
 	}
 
-	table := urltable.New(urltable.Options{CacheEntries: 4096})
+	table := urltable.New()
 	if tableFile != "" {
 		if _, statErr := os.Stat(tableFile); statErr == nil {
-			restored, lerr := urltable.LoadFile(tableFile, urltable.Options{CacheEntries: 4096})
+			restored, lerr := urltable.LoadFile(tableFile)
 			if lerr != nil {
 				return lerr
 			}

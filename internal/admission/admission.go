@@ -216,13 +216,14 @@ var defaultMaxWait = [NumClasses]time.Duration{100 * time.Millisecond, 50 * time
 // defaultBudgets are the per-class downstream deadlines.
 var defaultBudgets = [NumClasses]time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second}
 
-// New builds a Controller.
-func New(opts Options) *Controller {
-	total := opts.MaxConcurrent
-	if total <= 0 {
-		total = 256
+// ClassLimits splits a concurrency budget into per-class slot limits by
+// shares: budget ≤ 0 means 256, all-zero shares mean 3:2:1, a
+// non-positive share counts as 1, and every limit is at least 1. The live
+// Controller and the simulator's front end both size their gates with it.
+func ClassLimits(budget int, shares [NumClasses]int) [NumClasses]int {
+	if budget <= 0 {
+		budget = 256
 	}
-	shares := opts.Shares
 	if shares == ([NumClasses]int{}) {
 		shares = defaultShares
 	}
@@ -233,6 +234,16 @@ func New(opts Options) *Controller {
 		}
 		sum += shares[i]
 	}
+	var limits [NumClasses]int
+	for i := range limits {
+		limits[i] = max(budget*shares[i]/sum, 1)
+	}
+	return limits
+}
+
+// New builds a Controller.
+func New(opts Options) *Controller {
+	limits := ClassLimits(opts.MaxConcurrent, opts.Shares)
 	target := opts.QueueTarget
 	if target <= 0 {
 		target = 5 * time.Millisecond
@@ -261,10 +272,7 @@ func New(opts Options) *Controller {
 	for i := range c.classes {
 		cs := &c.classes[i]
 		class := Class(i)
-		cs.limit = int64(total * shares[i] / sum)
-		if cs.limit < 1 {
-			cs.limit = 1
-		}
+		cs.limit = int64(limits[i])
 		cs.maxQueue = opts.MaxQueue[i]
 		if cs.maxQueue <= 0 {
 			cs.maxQueue = int(2 * cs.limit)

@@ -47,10 +47,10 @@ func TestClassify(t *testing.T) {
 	}{
 		{"batch", "/api/checkout", Batch}, // header wins over rules
 		{"critical", "/feeds/all", Critical},
-		{"", "/api/checkout", Critical},      // prefix rule
-		{"", "/api/export/dump", Batch},      // longest prefix wins
-		{"", "/feeds/all", Batch},            //
-		{"", "/index.html", Interactive},     // default
+		{"", "/api/checkout", Critical},          // prefix rule
+		{"", "/api/export/dump", Batch},          // longest prefix wins
+		{"", "/feeds/all", Batch},                //
+		{"", "/index.html", Interactive},         // default
 		{"nonsense", "/index.html", Interactive}, // bad header falls through to rules/default
 		{"nonsense", "/feeds/all", Batch},
 	}
@@ -83,6 +83,25 @@ func TestSharesSplitLimits(t *testing.T) {
 	for _, cl := range []Class{Critical, Interactive, Batch} {
 		if c.Limit(cl) < 1 {
 			t.Fatalf("class %v got zero slots", cl)
+		}
+	}
+}
+
+func TestClassLimits(t *testing.T) {
+	for _, tc := range []struct {
+		budget int
+		shares [NumClasses]int
+		want   [NumClasses]int
+	}{
+		{0, [NumClasses]int{}, [NumClasses]int{128, 85, 42}}, // 256 at 3:2:1
+		{60, [NumClasses]int{}, [NumClasses]int{30, 20, 10}},
+		{8, [NumClasses]int{}, [NumClasses]int{4, 2, 1}},
+		{6, [NumClasses]int{1, 1, 1}, [NumClasses]int{2, 2, 2}},
+		{6, [NumClasses]int{4, 0, -3}, [NumClasses]int{4, 1, 1}}, // non-positive counts as 1
+		{1, [NumClasses]int{}, [NumClasses]int{1, 1, 1}},         // floor of one slot
+	} {
+		if got := ClassLimits(tc.budget, tc.shares); got != tc.want {
+			t.Errorf("ClassLimits(%d, %v) = %v, want %v", tc.budget, tc.shares, got, tc.want)
 		}
 	}
 }

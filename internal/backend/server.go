@@ -14,7 +14,6 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
-	"webcluster/internal/metrics"
 	"webcluster/internal/telemetry"
 )
 
@@ -80,8 +79,8 @@ type Server struct {
 
 	// active tracks in-flight requests, the L4 routers' "connections"
 	// load signal.
-	active metrics.Counter
-	done   metrics.Counter
+	active telemetry.Counter
+	done   telemetry.Counter
 
 	// Deadline enforcement (in-band X-Dist-Deadline): requests already
 	// overdue on arrival are rejected before any work; requests whose

@@ -1,9 +1,8 @@
 // Package cache provides a byte-bounded LRU cache.
 //
-// It is the storage substrate for two components of the system described in
-// the paper: the per-node memory page cache of a back-end web server (whose
-// hit rate drives the Figure 2 result) and the URL-table entry cache the
-// distributor uses to speed up demultiplexing (§5.2).
+// It is the per-node memory page cache of a back-end web server, live
+// (internal/backend) and simulated (internal/sim); its hit rate drives the
+// paper's Figure 2 result.
 package cache
 
 import (

@@ -138,8 +138,6 @@ type Options struct {
 	// PreforkPerNode is the distributor's persistent-connection count
 	// per node.
 	PreforkPerNode int
-	// TableCacheEntries sizes the URL table's entry cache.
-	TableCacheEntries int
 	// BalanceInterval enables the auto-balancer loop when positive.
 	BalanceInterval time.Duration
 	// BalanceOptions tunes the §3.3 planner.
@@ -258,11 +256,7 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 		}
 	}()
 
-	cacheEntries := opts.TableCacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = 1024
-	}
-	c.Table = urltable.New(urltable.Options{CacheEntries: cacheEntries})
+	c.Table = urltable.New()
 	c.Controller = mgmt.NewController(c.Table)
 	c.Journal = journal.New(journal.Options{Node: "front", Size: opts.JournalSize})
 	c.Controller.SetJournal(c.Journal)

@@ -370,7 +370,7 @@ func clientKey(conn net.Conn) conntrack.ClientKey {
 // relayed exchange. Pipelined HTTP/1.1 requests drain in-loop — buffered
 // bytes from the same read feed the next iteration directly, and the
 // per-connection route hint answers repeat lookups with one pointer
-// compare instead of re-entering the shared router state.
+// compare instead of a URL-table trie walk.
 func (d *Distributor) serveClient(client net.Conn) {
 	key := clientKey(client)
 	// The accept completing stands in for the SYN/ACK exchange; Go hands

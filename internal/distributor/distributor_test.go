@@ -62,7 +62,7 @@ func startClusterOpts(t *testing.T, n int, tweak func(*Options)) *testCluster {
 		backends[id] = srv
 		t.Cleanup(func() { _ = srv.Close() })
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 64})
+	table := urltable.New()
 	opts := Options{Table: table, Cluster: spec, PreforkPerNode: 2}
 	if tweak != nil {
 		tweak(&opts)
@@ -355,7 +355,7 @@ func TestMeanRouteOverheadMeasured(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	table := urltable.New(urltable.Options{})
+	table := urltable.New()
 	if _, err := New(Options{Cluster: config.PaperTestbed()}); err == nil {
 		t.Fatal("nil table accepted")
 	}

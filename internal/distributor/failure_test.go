@@ -14,6 +14,7 @@ import (
 	"webcluster/internal/httpx"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/nfs"
+	"webcluster/internal/testutil"
 	"webcluster/internal/trace"
 	"webcluster/internal/urltable"
 )
@@ -159,6 +160,11 @@ func TestAccessLogRecordsAndReplays(t *testing.T) {
 	}
 	_ = fetch(t, front, "/missing.html", httpx.Proto11) // a 404 line
 
+	// A relayed response is logged after its last byte reaches the
+	// client, so the fifth 200 line can trail the 404 line.
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		return strings.Count(logBuf.String(), "\n") >= 6
+	}, "access log never reached 6 lines")
 	entries, err := trace.Read(strings.NewReader(logBuf.String()))
 	if err != nil {
 		t.Fatalf("parsing access log: %v\nlog:\n%s", err, logBuf.String())
@@ -251,7 +257,7 @@ func TestLiveNFSConfiguration(t *testing.T) {
 		})
 	}
 
-	table := urltable.New(urltable.Options{})
+	table := urltable.New()
 	obj := content.Object{Path: "/shared/page.html", Size: 20, Class: content.ClassHTML}
 	if err := table.Insert(obj, "web1", "web2"); err != nil {
 		t.Fatal(err)

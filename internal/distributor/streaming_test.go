@@ -45,7 +45,7 @@ func TestRelayTruncationOnContentLengthMismatch(t *testing.T) {
 		}
 	}()
 
-	table := urltable.New(urltable.Options{CacheEntries: 8})
+	table := urltable.New()
 	spec := config.ClusterSpec{
 		DistributorCPUMHz: 350,
 		Nodes: []config.NodeSpec{{
@@ -213,7 +213,7 @@ func TestNonIdempotentRequestNotRetried(t *testing.T) {
 		}
 	}()
 
-	table := urltable.New(urltable.Options{CacheEntries: 8})
+	table := urltable.New()
 	node := func(id config.NodeID) config.NodeSpec {
 		return config.NodeSpec{
 			ID: id, CPUMHz: 350, MemoryMB: 64,

@@ -12,7 +12,7 @@ import (
 
 func newTable(t *testing.T) *urltable.Table {
 	t.Helper()
-	return urltable.New(urltable.Options{})
+	return urltable.New()
 }
 
 func obj(path string, size int64) content.Object {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -295,11 +296,11 @@ type faultConn struct {
 	point string
 
 	mu       sync.Mutex
-	gen      uint64 // generation of the cached roll/budget
-	subject  bool   // probability roll outcome for this generation
-	carried  int64  // bytes carried under this generation
-	written  int64  // bytes written lifetime (corruption phase)
-	dropped  bool   // DropAfterBytes tripped; connection is dead
+	gen      uint64    // generation of the cached roll/budget
+	subject  bool      // probability roll outcome for this generation
+	carried  int64     // bytes carried under this generation
+	written  int64     // bytes written lifetime (corruption phase)
+	dropped  bool      // DropAfterBytes tripped; connection is dead
 	deadline time.Time // read deadline, mirrored for stall bounding
 
 	closeOnce sync.Once
@@ -328,25 +329,27 @@ func (fc *faultConn) rule() Rule {
 }
 
 // wait sleeps for d, but returns early when the connection closes or the
-// mirrored read deadline passes (the caller then hits the real deadline
-// error on the underlying operation).
-func (fc *faultConn) wait(d time.Duration) {
+// mirrored read deadline passes. It reports whether the read deadline cut
+// the wait short.
+func (fc *faultConn) wait(d time.Duration) (expired bool) {
 	fc.mu.Lock()
 	dl := fc.deadline
 	fc.mu.Unlock()
 	if !dl.IsZero() {
 		if until := time.Until(dl); until < d {
-			d = until
+			d, expired = until, true
 		}
 	}
 	if d <= 0 {
-		return
+		return expired
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		return expired
 	case <-fc.done:
+		return false
 	}
 }
 
@@ -379,12 +382,18 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 		_ = fc.Close()
 		return 0, ErrInjected
 	}
+	// A read whose stall or latency outlasts the read deadline times out
+	// without touching the socket. Reading it once the timer fires would
+	// race the runtime's own deadline timer and could return bytes the
+	// peer sent during the stall.
 	if r.ReadStall > 0 {
 		fc.in.note(fc.point)
-		fc.wait(r.ReadStall)
+		if fc.wait(r.ReadStall) {
+			return 0, os.ErrDeadlineExceeded
+		}
 	}
-	if r.Latency > 0 {
-		fc.wait(r.Latency)
+	if r.Latency > 0 && fc.wait(r.Latency) {
+		return 0, os.ErrDeadlineExceeded
 	}
 	n, err := fc.Conn.Read(p)
 	if fc.account(r, n) && err == nil {

@@ -180,6 +180,34 @@ func TestReadStallBoundedByDeadline(t *testing.T) {
 	}
 }
 
+// TestReadStallDeadlineHidesPendingData: a stalled peer delivers nothing
+// before the reader's deadline, even when the real socket already holds
+// the reply. Ending the stall at the deadline and then reading the socket
+// races the runtime's own deadline timer, and the read can return the
+// pending bytes; this test repeats the read to catch that race.
+func TestReadStallDeadlineHidesPendingData(t *testing.T) {
+	in := New(8)
+	in.Set("p", Rule{ReadStall: time.Minute})
+	for i := 0; i < 20; i++ {
+		client, server := tcpPair(t)
+		if _, err := client.Write([]byte("reply")); err != nil {
+			t.Fatalf("peer write: %v", err)
+		}
+		fc := in.Conn("p", server)
+		if err := fc.SetDeadline(time.Now().Add(5 * time.Millisecond)); err != nil {
+			t.Fatalf("deadline: %v", err)
+		}
+		n, err := fc.Read(make([]byte, 16))
+		if n != 0 {
+			t.Fatalf("read %d: stalled read delivered %d bytes before its deadline", i, n)
+		}
+		var nerr net.Error
+		if !errors.As(err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("read %d: want timeout error, got %v", i, err)
+		}
+	}
+}
+
 func TestReadStallInterruptedByClose(t *testing.T) {
 	in := New(6)
 	in.Set("p", Rule{ReadStall: time.Minute})

@@ -18,7 +18,7 @@ func Example() {
 		{ID: "hot", CPUMHz: 350, MemoryMB: 128},
 		{ID: "idle", CPUMHz: 350, MemoryMB: 128},
 	}
-	table := urltable.New(urltable.Options{})
+	table := urltable.New()
 	obj := content.Object{Path: "/popular.html", Size: 4096, Class: content.ClassHTML}
 	_ = table.Insert(obj, "hot")
 

@@ -242,7 +242,7 @@ func TestSortedNodes(t *testing.T) {
 
 func newTableWith(t *testing.T, entries map[string][]config.NodeID, hits map[string]int64) *urltable.Table {
 	t.Helper()
-	tbl := urltable.New(urltable.Options{})
+	tbl := urltable.New()
 	for path, locs := range entries {
 		obj := content.Object{Path: path, Size: 100, Class: content.Classify(path)}
 		if err := tbl.Insert(obj, locs...); err != nil {
@@ -420,7 +420,7 @@ func TestByNameLeastLoad(t *testing.T) {
 }
 
 func TestPlanSkipsPinnedContent(t *testing.T) {
-	tbl := urltable.New(urltable.Options{})
+	tbl := urltable.New()
 	obj := content.Object{Path: "/mutable.html", Size: 100, Class: content.ClassHTML}
 	if err := tbl.Insert(obj, "busy"); err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestPlanSkipsPinnedContent(t *testing.T) {
 }
 
 func TestPlanPriorityFloorReplicates(t *testing.T) {
-	tbl := urltable.New(urltable.Options{})
+	tbl := urltable.New()
 	crit := content.Object{Path: "/shop/cart.html", Size: 100, Class: content.ClassHTML, Priority: 2}
 	if err := tbl.Insert(crit, "n1"); err != nil {
 		t.Fatal(err)
@@ -464,7 +464,7 @@ func TestPlanPriorityFloorReplicates(t *testing.T) {
 }
 
 func TestPlanPriorityFloorSkipsPinned(t *testing.T) {
-	tbl := urltable.New(urltable.Options{})
+	tbl := urltable.New()
 	crit := content.Object{Path: "/shop/cart.html", Size: 100, Class: content.ClassHTML, Priority: 2}
 	_ = tbl.Insert(crit, "n1")
 	_ = tbl.SetPinned("/shop/cart.html", true)
@@ -478,7 +478,7 @@ func TestPlanPriorityFloorSkipsPinned(t *testing.T) {
 }
 
 func TestPlanPriorityFloorSatisfiedNoop(t *testing.T) {
-	tbl := urltable.New(urltable.Options{})
+	tbl := urltable.New()
 	crit := content.Object{Path: "/shop/cart.html", Size: 100, Class: content.ClassHTML, Priority: 1}
 	_ = tbl.Insert(crit, "n1", "n2")
 	loads := map[config.NodeID]float64{"n1": 0, "n2": 0, "n3": 0}

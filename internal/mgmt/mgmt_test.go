@@ -167,7 +167,7 @@ func TestBrokerAgentError(t *testing.T) {
 
 func newController(t *testing.T, nodes ...string) (*Controller, map[string]*Broker) {
 	t.Helper()
-	table := urltable.New(urltable.Options{})
+	table := urltable.New()
 	ctl := NewController(table)
 	brokers := make(map[string]*Broker, len(nodes))
 	for _, n := range nodes {
@@ -308,7 +308,7 @@ func TestControllerFailedStepLeavesTableUnchanged(t *testing.T) {
 }
 
 func TestControllerAuditLogCapped(t *testing.T) {
-	ctl := NewController(urltable.New(urltable.Options{}))
+	ctl := NewController(urltable.New())
 	const n = 2*maxAuditEntries + 1
 	for i := 0; i < n; i++ {
 		ctl.logf("entry %d", i)
@@ -714,7 +714,7 @@ func TestControllerSurvivesBrokerDeath(t *testing.T) {
 // one journal per node, scraped over OpJournal.
 func journaledController(t *testing.T, nodes ...string) (*Controller, *journal.Journal) {
 	t.Helper()
-	table := urltable.New(urltable.Options{})
+	table := urltable.New()
 	ctl := NewController(table)
 	front := journal.New(journal.Options{Node: "front"})
 	ctl.SetJournal(front)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/loadbal"
@@ -112,7 +113,7 @@ func (f *Frontend) NoRoute() uint64 { return f.noRoute }
 // end. Requests routed this way are interactive-class; a stale-degraded
 // answer still counts as ok (the client got bytes).
 func (f *Frontend) Route(obj content.Object, done func(ok bool)) {
-	f.RouteSLO(obj, SLOInteractive, func(o RouteOutcome) {
+	f.RouteSLO(obj, admission.Interactive, func(o RouteOutcome) {
 		done(o == RouteOK || o == RouteStale)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/loadbal"
@@ -215,8 +216,8 @@ type scenarioRun struct {
 	lat           []time.Duration
 	// Per-SLO-class accumulators: latency over served (OK or stale)
 	// requests, admission sheds, and stale-degraded serves.
-	classLat  [NumSLOClasses][]time.Duration
-	classShed [NumSLOClasses]int64
+	classLat  [admission.NumClasses][]time.Duration
+	classShed [admission.NumClasses]int64
 	staleSrv  int64
 
 	lastHits, lastMisses int64
@@ -235,7 +236,7 @@ type classDriver struct {
 	sampler workload.Sampler
 	zipf    *workload.Zipf
 	mult    float64
-	slo     SLOClass
+	slo     admission.Class
 }
 
 // startClass builds and schedules the class at index i.
@@ -329,7 +330,7 @@ func (c *classDriver) draw() content.Object {
 // shed or unroutable request counts as an error. Per-class latency only
 // accumulates over served requests — a shed costs the client a refusal,
 // not a latency sample.
-func (r *scenarioRun) record(started, finished time.Duration, slo SLOClass, o RouteOutcome) {
+func (r *scenarioRun) record(started, finished time.Duration, slo admission.Class, o RouteOutcome) {
 	if r.finished {
 		return
 	}
@@ -407,7 +408,7 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 	for i := range r.classLat {
 		r.classLat[i] = r.classLat[i][:0]
 	}
-	r.classShed = [NumSLOClasses]int64{}
+	r.classShed = [admission.NumClasses]int64{}
 	r.staleSrv = 0
 
 	if at >= r.end {

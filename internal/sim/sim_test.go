@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/urltable"
@@ -833,5 +834,21 @@ func TestFigure3PartitionWins(t *testing.T) {
 	if staticRT(part) >= staticRT(base) {
 		t.Fatalf("segregated static RT %v not below baseline %v",
 			staticRT(part), staticRT(base))
+	}
+}
+
+func TestParseSLOClass(t *testing.T) {
+	for in, want := range map[string]admission.Class{
+		"":            admission.Interactive,
+		"critical":    admission.Critical,
+		"interactive": admission.Interactive,
+		"batch":       admission.Batch,
+	} {
+		if got, err := ParseSLOClass(in); err != nil || got != want {
+			t.Errorf("ParseSLOClass(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseSLOClass("Critical"); err == nil {
+		t.Error("unknown class name accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -63,6 +64,42 @@ func TestHistogramBasics(t *testing.T) {
 	h.Reset()
 	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
 		t.Fatalf("Reset left state: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	}
+}
+
+// TestHistogramMean: the mean is exact (running sum over count), not a
+// bucket estimate.
+func TestHistogramMean(t *testing.T) {
+	var h Histogram
+	if h.Mean() != 0 {
+		t.Fatal("empty histogram mean not 0")
+	}
+	h.Observe(10 * time.Millisecond)
+	h.Observe(30 * time.Millisecond)
+	if h.Mean() != 20*time.Millisecond || h.Count() != 2 {
+		t.Fatalf("mean/count = %v/%d, want 20ms/2", h.Mean(), h.Count())
+	}
+}
+
+// TestPropertyQuantileMonotone: quantiles never decrease in q.
+func TestPropertyQuantileMonotone(t *testing.T) {
+	f := func(samples []int16) bool {
+		var h Histogram
+		for _, s := range samples {
+			h.Observe(time.Duration(int(s)+40000) * time.Microsecond)
+		}
+		prev := time.Duration(-1)
+		for q := 0.0; q <= 1.0; q += 0.1 {
+			cur := h.Quantile(q)
+			if cur < prev {
+				return false
+			}
+			prev = cur
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -129,17 +129,6 @@ func (r *Registry) Classes() []string {
 	return names
 }
 
-// Summary formats one line per class: "class: N reqs, mean latency".
-func (r *Registry) Summary() string {
-	var out string
-	for _, name := range r.Classes() {
-		cs := r.Class(name)
-		out += fmt.Sprintf("%s: %d reqs, %d errors, mean %v\n",
-			name, cs.Requests.Value(), cs.Errors.Value(), cs.Latency.Mean())
-	}
-	return out
-}
-
 // Counter returns the named counter, creating it on first use. Callers
 // hold the returned pointer; registration is not a hot path.
 func (r *Registry) Counter(name string) *Counter {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,6 +24,54 @@ func TestRegistryClassCOW(t *testing.T) {
 	got := r.Classes()
 	if len(got) != 2 || got[0] != "cgi" || got[1] != "html" {
 		t.Fatalf("Classes = %v, want [cgi html]", got)
+	}
+}
+
+func TestCounter(t *testing.T) {
+	var c Counter
+	c.Inc()
+	c.Add(4)
+	if c.Value() != 5 {
+		t.Fatalf("counter = %d, want 5", c.Value())
+	}
+}
+
+// TestCounterConcurrent: racing increments are all counted.
+func TestCounterConcurrent(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Value() != 16000 {
+		t.Fatalf("counter = %d, want 16000", c.Value())
+	}
+}
+
+// TestRegistryConcurrent: goroutines racing to create and bump the same
+// class all land in one bucket.
+func TestRegistryConcurrent(t *testing.T) {
+	r := NewRegistry("n1")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				r.Class("x").Requests.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Class("x").Requests.Value(); got != 4000 {
+		t.Fatalf("requests = %d, want 4000", got)
 	}
 }
 

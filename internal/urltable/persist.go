@@ -63,12 +63,12 @@ func (t *Table) Save(w io.Writer) error {
 
 // Load reads a table previously written by Save, restoring entries, pins
 // and hit counters.
-func Load(r io.Reader, opts Options) (*Table, error) {
+func Load(r io.Reader) (*Table, error) {
 	var records []persistRecord
 	if err := json.NewDecoder(r).Decode(&records); err != nil {
 		return nil, fmt.Errorf("urltable: decoding: %w", err)
 	}
-	t := New(opts)
+	t := New()
 	for _, pr := range records {
 		class, err := classFromName(pr.Class)
 		if err != nil {
@@ -124,11 +124,11 @@ func (t *Table) SaveFile(path string) error {
 }
 
 // LoadFile restores a table from a file written by SaveFile.
-func LoadFile(path string, opts Options) (*Table, error) {
+func LoadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("urltable: opening %s: %w", path, err)
 	}
 	defer func() { _ = f.Close() }()
-	return Load(f, opts)
+	return Load(f)
 }

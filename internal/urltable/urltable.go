@@ -6,9 +6,11 @@
 //
 // Per §5.2 the table is a multi-level hash: each level of the structure
 // corresponds to one level of the content tree, so a lookup walks the URL's
-// path segments through nested hash maps. A small LRU cache of recently
-// resolved full paths fronts the walk, the "proven technique for
-// demultiplexing speedup" the paper borrows from Mogul.
+// path segments through nested hash maps. The paper also recommends a
+// cache of recently resolved paths in front of the walk (Mogul's
+// demultiplexing speedup); a shared one moved no end-to-end metric
+// (EXPERIMENTS.md §5.2), so every lookup is the walk, plus an optional
+// per-caller Hint that memoizes one path.
 //
 // Reads are lock-free: the trie is copy-on-write behind an atomic root
 // pointer. Management mutations (§3: insert/delete/rename/replicate) build
@@ -17,10 +19,10 @@
 // mutex. Route therefore takes no lock and scales with distributor cores.
 // Published nodes, entries and their location slices are immutable; the
 // only mutable cell an entry carries is its hit counter, an atomic shared
-// across copies of the same logical entry. The entry cache stores (root,
-// entry) pairs and treats a cached pair under a different root as a miss,
-// so a root swap soft-invalidates the whole cache at zero cost. See
-// DESIGN.md §2 ("fast path") for the invariants.
+// across copies of the same logical entry. A Hint stores a (root, entry)
+// pair and treats it as a miss under any other root, so a root swap
+// invalidates every hint at zero cost. See DESIGN.md §2 ("fast path") for
+// the invariants.
 package urltable
 
 import (
@@ -80,8 +82,8 @@ func (r Record) HasLocation(node config.NodeID) bool {
 // entry is the stored form of a record. Published entries are immutable:
 // mutations clone the entry (and the trie spine above it) and swap the
 // root. The hit counter is a shared pointer so every copy of the same
-// logical entry — including ones cached before a mutation — counts into
-// the same accumulator.
+// logical entry — including one a Hint held before a mutation — counts
+// into the same accumulator.
 type entry struct {
 	path      string
 	size      int64
@@ -142,67 +144,6 @@ func cloneNode(n *node) *node {
 	return nn
 }
 
-// cachedEntry pairs a resolved entry with the root it was resolved under.
-// A cached pair whose root is no longer current is treated as a miss, so
-// one atomic root comparison revalidates the cache after any mutation.
-type cachedEntry struct {
-	root *node
-	path string
-	e    *entry
-}
-
-// entryCache is a lock-free direct-mapped path → (root, entry) cache.
-// Relay v3 note: the first generation of this cache was an LRU behind
-// sharded mutexes, and BENCH_relay.json caught it red-handed — a cached
-// lookup cost 473 ns and 1 alloc against 324 ns and 0 allocs for the
-// uncached trie walk, because two mutex hops plus recency-list
-// maintenance dwarf a walk over 2-3 trie levels. A direct-mapped table
-// of atomic pointers has no lock, no recency bookkeeping and no
-// per-hit allocation: a hit is one atomic load, one root-pointer
-// compare and one path compare. Collisions simply evict (last write
-// wins) — for a routing cache, rebuilding an evicted pair costs one
-// trie walk, so approximate retention is the right trade.
-type entryCache struct {
-	slots []atomic.Pointer[cachedEntry]
-	mask  uint32
-}
-
-// newEntryCache returns a cache sized for n hot entries. Slots are
-// over-provisioned 4× (rounded up to a power of two): a slot is one
-// 8-byte pointer, so the headroom costs 24n bytes and roughly halves
-// direct-mapped collisions between popular paths under Zipf traffic.
-func newEntryCache(n int) *entryCache {
-	size := 1
-	for size < 4*n {
-		size <<= 1
-	}
-	return &entryCache{slots: make([]atomic.Pointer[cachedEntry], size), mask: uint32(size - 1)}
-}
-
-// get returns the cached pair for path (any root), or nil.
-func (c *entryCache) get(path string, h uint32) *cachedEntry {
-	ce := c.slots[h&c.mask].Load()
-	if ce == nil || ce.path != path {
-		return nil
-	}
-	return ce
-}
-
-// put publishes a freshly resolved pair, evicting whatever shared the
-// slot. The one allocation per fill is the cachedEntry itself.
-func (c *entryCache) put(path string, h uint32, root *node, e *entry) {
-	c.slots[h&c.mask].Store(&cachedEntry{root: root, path: path, e: e})
-}
-
-// remove eagerly frees path's slot (the root swap that accompanies every
-// mutation already soft-invalidates it).
-func (c *entryCache) remove(path string, h uint32) {
-	i := h & c.mask
-	if ce := c.slots[i].Load(); ce != nil && ce.path == path {
-		c.slots[i].CompareAndSwap(ce, nil)
-	}
-}
-
 // Per-entry and per-node bookkeeping constants for the memory footprint
 // estimate reported by the §5.2 experiment. The constants approximate Go
 // runtime overheads: map header+bucket share, string headers, slice
@@ -261,28 +202,14 @@ type Table struct {
 	size     atomic.Int64
 	memBytes atomic.Int64
 
-	// entryCache maps full path → (root, entry) for recently routed URLs.
-	entryCache *entryCache
-
-	lookups    stripedCounter
-	cacheHits  stripedCounter
-	walkDepths stripedCounter // summed segment counts, for diagnostics
+	lookups   stripedCounter
+	cacheHits stripedCounter
 }
 
-// Options configures table construction.
-type Options struct {
-	// CacheEntries bounds the recently-accessed-entry cache; 0 disables
-	// caching (useful for the ablation benchmark).
-	CacheEntries int
-}
-
-// New returns an empty table. cacheEntries ≤ 0 disables the entry cache.
-func New(opts Options) *Table {
+// New returns an empty table.
+func New() *Table {
 	t := &Table{}
 	t.root.Store(&node{})
-	if opts.CacheEntries > 0 {
-		t.entryCache = newEntryCache(opts.CacheEntries)
-	}
 	return t
 }
 
@@ -307,11 +234,11 @@ func splitPath(p string) ([]string, error) {
 }
 
 // findPath walks root to the entry for path without allocating, segmenting
-// the string in place. It returns the entry (nil when absent), the number
-// of segments walked, and ErrBadPath for non-absolute or empty paths.
-func findPath(root *node, path string) (*entry, int, error) {
+// the string in place. It returns the entry (nil when absent), or
+// ErrBadPath for non-absolute or empty paths.
+func findPath(root *node, path string) (*entry, error) {
 	if !strings.HasPrefix(path, "/") {
-		return nil, 0, fmt.Errorf("%w: %q", ErrBadPath, path)
+		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
 	cur := root
 	depth := 0
@@ -333,12 +260,12 @@ func findPath(root *node, path string) (*entry, int, error) {
 		}
 	}
 	if depth == 0 {
-		return nil, 0, fmt.Errorf("%w: %q has no segments", ErrBadPath, path)
+		return nil, fmt.Errorf("%w: %q has no segments", ErrBadPath, path)
 	}
 	if cur == nil {
-		return nil, depth, nil
+		return nil, nil
 	}
-	return cur.leaf, depth, nil
+	return cur.leaf, nil
 }
 
 // findSegs walks root by pre-split segments (the mutator path).
@@ -460,10 +387,8 @@ func (t *Table) Insert(obj content.Object, locations ...config.NodeID) error {
 	return nil
 }
 
-// lookupEntry resolves path to its stored entry via the cache, falling back
-// to the lock-free trie walk and populating the cache on success. The root
-// is loaded once; the cache only serves entries resolved under that same
-// root, so a concurrent mutation can never surface a stale entry.
+// lookupEntry resolves path to its stored entry by the lock-free trie
+// walk over one loaded root.
 func (t *Table) lookupEntry(path string) (*entry, error) {
 	e, _, err := t.lookupEntryRoot(path)
 	return e, err
@@ -472,25 +397,14 @@ func (t *Table) lookupEntry(path string) (*entry, error) {
 // lookupEntryRoot is lookupEntry, additionally returning the root the
 // entry was resolved under (the validity token for hint revalidation).
 func (t *Table) lookupEntryRoot(path string) (*entry, *node, error) {
-	h := fnv32(path)
-	t.lookups.add(h, 1)
+	t.lookups.add(fnv32(path), 1)
 	root := t.root.Load()
-	if t.entryCache != nil {
-		if ce := t.entryCache.get(path, h); ce != nil && ce.root == root {
-			t.cacheHits.add(h, 1)
-			return ce.e, root, nil
-		}
-	}
-	e, depth, err := findPath(root, path)
+	e, err := findPath(root, path)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.walkDepths.add(h, int64(depth))
 	if e == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, path)
-	}
-	if t.entryCache != nil {
-		t.entryCache.put(path, h, root, e)
 	}
 	return e, root, nil
 }
@@ -498,7 +412,7 @@ func (t *Table) lookupEntryRoot(path string) (*entry, *node, error) {
 // Hint is a per-caller route memo: the last resolved (path, entry) pair
 // and the root it was resolved under. A keep-alive or pipelined client
 // hammering one URL revalidates with a single pointer compare instead of
-// re-entering the shared cache. The zero value is an empty hint; a Hint
+// walking the trie. The zero value is an empty hint; a Hint
 // must not be shared between goroutines.
 type Hint struct {
 	root *node
@@ -507,9 +421,10 @@ type Hint struct {
 }
 
 // RouteHinted is Route with a caller-held hint. The hint is consulted
-// before the shared entry cache and refreshed on every successful
-// resolution; it only serves an entry resolved under the current root, so
-// it can never return state from before a table mutation.
+// before the trie walk and refreshed on every successful resolution; it
+// only serves an entry resolved under the current root, so it can never
+// return state from before a table mutation. A hint hit counts in both
+// Stats.Lookups and Stats.CacheHits.
 func (t *Table) RouteHinted(path string, hint *Hint) (Record, error) {
 	if hint != nil && hint.e != nil && hint.path == path && hint.root == t.root.Load() {
 		h := fnv32(path)
@@ -565,11 +480,6 @@ func (t *Table) Remove(path string) error {
 	t.root.Store(newRoot)
 	t.size.Add(-1)
 	t.memBytes.Add(memDelta)
-	if t.entryCache != nil {
-		// The root swap already invalidates the cached pair; dropping it
-		// eagerly just frees the slot.
-		t.entryCache.remove(path, fnv32(path))
-	}
 	return nil
 }
 
@@ -607,9 +517,6 @@ func (t *Table) Rename(oldPath, newPath string) error {
 		int64(len(ne.locations))*locationBytes
 	t.root.Store(r2)
 	t.memBytes.Add(insDelta + remDelta)
-	if t.entryCache != nil {
-		t.entryCache.remove(oldPath, fnv32(oldPath))
-	}
 	return nil
 }
 
@@ -751,7 +658,8 @@ func (t *Table) MemoryBytes() int64 {
 
 // Stats reports lookup-path effectiveness.
 type Stats struct {
-	Lookups   int64
+	Lookups int64
+	// CacheHits counts lookups a caller's Hint answered without a walk.
 	CacheHits int64
 	Entries   int
 	MemBytes  int64

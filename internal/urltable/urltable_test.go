@@ -16,7 +16,7 @@ import (
 
 func newTable(t *testing.T) *Table {
 	t.Helper()
-	return New(Options{CacheEntries: 16})
+	return New()
 }
 
 func obj(path string, size int64) content.Object {
@@ -278,41 +278,95 @@ func TestEntriesAtSortedByHits(t *testing.T) {
 	}
 }
 
-func TestEntryCacheHits(t *testing.T) {
-	tbl := New(Options{CacheEntries: 8})
-	_ = tbl.Insert(obj("/a", 1), "n1")
-	for i := 0; i < 10; i++ {
-		_, _ = tbl.Route("/a")
-	}
-	st := tbl.Stats()
-	if st.Lookups != 10 {
-		t.Fatalf("lookups = %d", st.Lookups)
-	}
-	if st.CacheHits < 8 {
-		t.Fatalf("cache hits = %d, want ≥8", st.CacheHits)
-	}
-}
-
-func TestNoCacheMode(t *testing.T) {
-	tbl := New(Options{})
-	_ = tbl.Insert(obj("/a", 1), "n1")
-	for i := 0; i < 5; i++ {
-		if _, err := tbl.Route("/a"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := tbl.Stats(); st.CacheHits != 0 {
-		t.Fatalf("cache hits with cache disabled = %d", st.CacheHits)
-	}
-}
-
-func TestCacheInvalidatedOnRemove(t *testing.T) {
-	tbl := New(Options{CacheEntries: 8})
-	_ = tbl.Insert(obj("/a", 1), "n1")
-	_, _ = tbl.Route("/a") // populates cache
-	_ = tbl.Remove("/a")
-	if _, err := tbl.Route("/a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("stale cache served a removed entry: %v", err)
+// TestRouteHintedNeverStale warms a Hint on a path, applies one table
+// mutation, then routes through the hint again: it must never hand back
+// the record it held before the mutation. Each warm-up hint hit counts
+// once as a lookup and once as a cache hit.
+func TestRouteHintedNeverStale(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Table) error
+		// check inspects the post-mutation answer for path "/d/a.html".
+		check func(rec Record, err error) error
+	}{
+		{"Remove", func(tbl *Table) error { return tbl.Remove("/d/a.html") },
+			func(_ Record, err error) error {
+				if !errors.Is(err, ErrNotFound) {
+					return fmt.Errorf("removed path routed: %v", err)
+				}
+				return nil
+			}},
+		{"Rename", func(tbl *Table) error { return tbl.Rename("/d/a.html", "/d/b.html") },
+			func(_ Record, err error) error {
+				if !errors.Is(err, ErrNotFound) {
+					return fmt.Errorf("renamed-away path routed: %v", err)
+				}
+				return nil
+			}},
+		{"ReinsertAfterRemove", func(tbl *Table) error {
+			if err := tbl.Remove("/d/a.html"); err != nil {
+				return err
+			}
+			return tbl.Insert(obj("/d/a.html", 999), "n3")
+		}, func(rec Record, err error) error {
+			if err != nil || rec.Size != 999 || !rec.HasLocation("n3") || rec.HasLocation("n1") {
+				return fmt.Errorf("got %+v, %v; want the re-inserted record at n3", rec, err)
+			}
+			return nil
+		}},
+		{"AddLocation", func(tbl *Table) error { return tbl.AddLocation("/d/a.html", "n2") },
+			func(rec Record, err error) error {
+				if err != nil || !rec.HasLocation("n2") {
+					return fmt.Errorf("got %+v, %v; want n2 added", rec, err)
+				}
+				return nil
+			}},
+		{"RemoveLocation", func(tbl *Table) error {
+			if err := tbl.AddLocation("/d/a.html", "n2"); err != nil {
+				return err
+			}
+			return tbl.RemoveLocation("/d/a.html", "n1")
+		}, func(rec Record, err error) error {
+			if err != nil || rec.HasLocation("n1") || !rec.HasLocation("n2") {
+				return fmt.Errorf("got %+v, %v; want only n2", rec, err)
+			}
+			return nil
+		}},
+		{"SetPinned", func(tbl *Table) error { return tbl.SetPinned("/d/a.html", true) },
+			func(rec Record, err error) error {
+				if err != nil || !rec.Pinned {
+					return fmt.Errorf("got %+v, %v; want pinned", rec, err)
+				}
+				return nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := New()
+			if err := tbl.Insert(obj("/d/a.html", 1), "n1"); err != nil {
+				t.Fatal(err)
+			}
+			var hint Hint
+			for i := 0; i < 3; i++ {
+				if _, err := tbl.RouteHinted("/d/a.html", &hint); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := tbl.Stats(); st.Lookups != 3 || st.CacheHits != 2 {
+				t.Fatalf("warm-up lookups/hits = %d/%d, want 3/2", st.Lookups, st.CacheHits)
+			}
+			if rec, _ := tbl.Lookup("/d/a.html"); rec.Hits != 3 {
+				t.Fatalf("warm-up entry hits = %d, want 3", rec.Hits)
+			}
+			if err := tc.mutate(tbl); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				rec, err := tbl.RouteHinted("/d/a.html", &hint)
+				if cerr := tc.check(rec, err); cerr != nil {
+					t.Fatalf("route %d after mutation: %v", i, cerr)
+				}
+			}
+		})
 	}
 }
 
@@ -341,7 +395,7 @@ func TestMemoryScalesWithObjects(t *testing.T) {
 }
 
 func TestConcurrentRouteAndMutate(t *testing.T) {
-	tbl := New(Options{CacheEntries: 64})
+	tbl := New()
 	for i := 0; i < 50; i++ {
 		_ = tbl.Insert(obj(fmt.Sprintf("/p/%d.html", i), 1), "n1")
 	}
@@ -355,6 +409,21 @@ func TestConcurrentRouteAndMutate(t *testing.T) {
 			}
 		}(g)
 	}
+	// A hinted reader repeats each path so the hint-hit path runs while
+	// AddLocation republishes the root underneath it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var hint Hint
+		for i := 0; i < 1000; i++ {
+			p := fmt.Sprintf("/p/%d.html", (i/4)%50)
+			rec, err := tbl.RouteHinted(p, &hint)
+			if err != nil || rec.Path != p {
+				t.Errorf("RouteHinted(%s) = %q, %v", p, rec.Path, err)
+				return
+			}
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -371,7 +440,7 @@ func TestConcurrentRouteAndMutate(t *testing.T) {
 func TestPropertyInsertedAlwaysFound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(Options{CacheEntries: 4})
+		tbl := New()
 		n := rng.Intn(60) + 1
 		paths := make(map[string]bool, n)
 		for i := 0; i < n; i++ {
@@ -407,7 +476,7 @@ func TestPropertyInsertedAlwaysFound(t *testing.T) {
 func TestPropertyInsertRemoveRestoresMemory(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(Options{CacheEntries: 4})
+		tbl := New()
 		base := tbl.MemoryBytes()
 		n := rng.Intn(40) + 1
 		paths := make([]string, 0, n)
@@ -477,7 +546,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := tbl.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf, Options{CacheEntries: 8})
+	restored, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,23 +589,23 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := tbl.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFile(path, Options{})
+	restored, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 1 {
 		t.Fatalf("restored %d entries", restored.Len())
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.json"), Options{}); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("loading absent file succeeded")
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not json"), Options{}); err == nil {
+	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Load(bytes.NewBufferString(`[{"path":"/a","class":"nonsense","locations":["n1"]}]`), Options{}); err == nil {
+	if _, err := Load(bytes.NewBufferString(`[{"path":"/a","class":"nonsense","locations":["n1"]}]`)); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }
